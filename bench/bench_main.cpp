@@ -1,9 +1,9 @@
 // bench_main — the repo's perf-trajectory harness.
 //
-// Runs the measurements behind the fig/table benches (full three-flow
-// reports per CHStone kernel, plus the Fig. 6.5/6.6 queue latency/capacity
-// sweeps) under one CLI and writes a machine-readable artifact so future
-// changes can be compared against a baseline:
+// Runs the measurements behind the paper's evaluation chapter (full
+// three-flow reports per CHStone kernel, plus the Fig. 6.5/6.6 queue
+// latency/capacity sweeps) under one CLI and writes a machine-readable
+// artifact so future changes can be compared against a baseline:
 //
 //   $ bench_main --quick --out BENCH_dswp.json
 //   $ bench_main --out BENCH_dswp.json            # full run, all 8 kernels
@@ -16,44 +16,135 @@
 // tracks the toolchain's own speed. `--repeat N` reruns each stage N times
 // and reports the median wall time, so perf deltas across PRs are
 // measurable above noise; the top-level `engine` field attributes them to
-// the simulator generation.
+// the simulator generation. tools/paper_figures.py renders the thesis's
+// figures and tables from a full (not --quick) artifact.
 //
 // Kernels are computed first (serially by default; on a worker pool under
 // --jobs N) and emitted afterwards in kernel order from the stored results,
 // so the artifact is byte-identical for every job count modulo the
 // machine-dependent *_wall_ms values the bench gate already ignores.
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <string>
+#include <vector>
 
-#include "bench/bench_common.h"
+#include "src/chstone/kernels.h"
+#include "src/driver/driver.h"
 #include "src/explore/pool.h"
+#include "src/obs/trace.h"
 #include "src/support/json.h"
-#include "src/support/stopwatch.h"
 
 using namespace twill;
-using namespace twill::bench;
 
 namespace {
 
-using Clock = StopwatchClock;
+/// Canonical sweep points for Fig. 6.5 (queue latency) and Fig. 6.6 (queue
+/// capacity), recorded per kernel in the artifact.
+const std::vector<unsigned> kQueueLatencySweep = {2, 8, 32, 128};
+const std::vector<unsigned> kQueueCapacitySweep = {2, 4, 8, 16, 32};
+
+///   --quick        trimmed run (first 3 kernels, no parameter sweeps)
+///   --out FILE     write the JSON artifact to FILE ("-" = stdout)
+///   --kernel NAME  restrict to one kernel (repeatable)
+///   --repeat N     run each stage N times, report the median wall time
+///   --jobs N       evaluate kernels on N worker threads (the artifact is
+///                  byte-identical to the serial run modulo the
+///                  machine-dependent *_wall_ms values)
+struct BenchCli {
+  bool quick = false;
+  std::string out = "BENCH_dswp.json";
+  std::vector<std::string> kernels;
+  unsigned repeat = 1;
+  unsigned jobs = 1;
+};
+
+BenchCli parseBenchCli(int argc, char** argv) {
+  BenchCli cli;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    auto needValue = [&](const char* flag) -> const char* {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "%s: %s requires a value\n", argv[0], flag);
+        std::exit(2);
+      }
+      return argv[++i];
+    };
+    auto positiveCount = [&](const char* flag) {
+      const int n = std::atoi(needValue(flag));
+      if (n < 1) {
+        std::fprintf(stderr, "%s: %s wants a positive count\n", argv[0], flag);
+        std::exit(2);
+      }
+      return static_cast<unsigned>(n);
+    };
+    if (arg == "--quick") {
+      cli.quick = true;
+    } else if (arg == "--out") {
+      cli.out = needValue("--out");
+    } else if (arg == "--kernel") {
+      cli.kernels.push_back(needValue("--kernel"));
+    } else if (arg == "--repeat") {
+      cli.repeat = positiveCount("--repeat");
+    } else if (arg == "--jobs") {
+      cli.jobs = positiveCount("--jobs");
+    } else if (arg == "--help" || arg == "-h") {
+      std::printf("usage: %s [--quick] [--out FILE] [--kernel NAME ...] [--repeat N] [--jobs N]\n",
+                  argv[0]);
+      std::exit(0);
+    } else {
+      std::fprintf(stderr, "%s: unknown option '%s' (try --help)\n", argv[0], arg.c_str());
+      std::exit(2);
+    }
+  }
+  return cli;
+}
+
+/// Kernels selected by the CLI: the explicit `--kernel` list, or the first
+/// three kernels under `--quick`, or all eight.
+std::vector<KernelInfo> selectKernels(const BenchCli& cli) {
+  std::vector<KernelInfo> out;
+  for (const auto& name : cli.kernels) {
+    const KernelInfo* k = findKernel(name);
+    if (!k) {
+      std::fprintf(stderr, "unknown kernel '%s'\n", name.c_str());
+      std::exit(2);
+    }
+    out.push_back(*k);
+  }
+  if (!out.empty()) return out;
+  const auto& all = chstoneKernels();
+  const size_t n = cli.quick ? std::min<size_t>(3, all.size()) : all.size();
+  out.assign(all.begin(), all.begin() + static_cast<long>(n));
+  return out;
+}
+
+double msSince(uint64_t startUs) { return static_cast<double>(traceNowUs() - startUs) / 1000.0; }
 
 double median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   return v[v.size() / 2];
 }
 
-/// One sweep over `values`: simulates each point, collecting cycles when
-/// `out` is given (null = pure timing pass; the `--repeat` reruns must
-/// measure exactly the workload the recorded sweep measured).
-void runSweep(PreparedKernel& pk, SimProgram& prog, const std::vector<unsigned>& values,
+/// One sweep over `values`: re-simulates the kept artifacts at each point
+/// through the shared decode, collecting cycles (0 for a failed or
+/// mismatching run) when `out` is given (null = pure timing pass; the
+/// `--repeat` reruns must measure exactly the workload the recorded sweep
+/// measured).
+void runSweep(BenchmarkReport& rep, SimProgram& prog, const std::vector<unsigned>& values,
               bool isLatency, std::vector<uint64_t>* out) {
+  TwillArtifacts& art = *rep.twillArtifacts;
   for (unsigned v : values) {
     SimConfig sc;
     if (isLatency)
       sc.queueLatency = v;
     else
       sc.queueCapacity = v;
-    uint64_t cycles = runTwillCycles(pk, sc, &prog);
-    if (out != nullptr) out->push_back(cycles);
+    const SimOutcome o = simulateTwill(*art.module, art.dswp, sc, art.schedules, &prog);
+    const bool ok = o.ok && o.result == rep.expected;
+    if (!ok)
+      std::fprintf(stderr, "%s: twill sim failed: %s\n", rep.name.c_str(), o.message.c_str());
+    if (out != nullptr) out->push_back(ok ? o.cycles : 0);
   }
 }
 
@@ -72,11 +163,11 @@ KernelRun computeKernel(const KernelInfo& k, const BenchCli& cli) {
   KernelRun kr;
   std::vector<double> reportTimes;
   for (unsigned rep = 0; rep < cli.repeat; ++rep) {
-    auto tr = Clock::now();
+    const uint64_t t0 = traceNowUs();
     DriverOptions dopts;
     dopts.keepTwillArtifacts = !cli.quick;  // sweeps reuse the extracted module
     BenchmarkReport ri = runBenchmark(k.name, k.source, dopts);
-    reportTimes.push_back(msSince(tr));
+    reportTimes.push_back(msSince(t0));
     if (rep == 0) kr.report = std::move(ri);
   }
   kr.reportMs = median(reportTimes);
@@ -84,19 +175,13 @@ KernelRun computeKernel(const KernelInfo& k, const BenchCli& cli) {
   if (!cli.quick && kr.report.ok && kr.report.twillArtifacts) {
     // Fig. 6.5 / 6.6: re-simulate across queue latencies and capacities,
     // reusing the module runBenchmark already extracted and scheduled.
-    PreparedKernel pk;
-    pk.name = k.name;
-    pk.expected = kr.report.expected;
-    pk.twillMod = std::move(kr.report.twillArtifacts->module);
-    pk.dswp = std::move(kr.report.twillArtifacts->dswp);
-    pk.twillSchedules = std::move(kr.report.twillArtifacts->schedules);
-    pk.ok = true;
     kr.hasSweeps = true;
+    const TwillArtifacts& art = *kr.report.twillArtifacts;
+    SimProgram prog(*art.module, art.schedules);  // one decode, all runs
     std::vector<double> sweepTimes;
-    SimProgram prog(*pk.twillMod, pk.twillSchedules);  // one decode, all runs
-    auto t0 = Clock::now();
-    runSweep(pk, prog, kQueueLatencySweep, /*isLatency=*/true, &kr.latencyCycles);
-    runSweep(pk, prog, kQueueCapacitySweep, /*isLatency=*/false, &kr.capacityCycles);
+    uint64_t t0 = traceNowUs();
+    runSweep(kr.report, prog, kQueueLatencySweep, /*isLatency=*/true, &kr.latencyCycles);
+    runSweep(kr.report, prog, kQueueCapacitySweep, /*isLatency=*/false, &kr.capacityCycles);
     const double recordingPassMs = msSince(t0);
     if (cli.repeat == 1) {
       sweepTimes.push_back(recordingPassMs);
@@ -104,9 +189,9 @@ KernelRun computeKernel(const KernelInfo& k, const BenchCli& cli) {
       // Median over N uniform samples: the recording pass above fills the
       // result vectors (a different workload), so it is excluded.
       for (unsigned rep = 0; rep < cli.repeat; ++rep) {
-        t0 = Clock::now();
-        runSweep(pk, prog, kQueueLatencySweep, /*isLatency=*/true, nullptr);
-        runSweep(pk, prog, kQueueCapacitySweep, /*isLatency=*/false, nullptr);
+        t0 = traceNowUs();
+        runSweep(kr.report, prog, kQueueLatencySweep, /*isLatency=*/true, nullptr);
+        runSweep(kr.report, prog, kQueueCapacitySweep, /*isLatency=*/false, nullptr);
         sweepTimes.push_back(msSince(t0));
       }
     }
@@ -132,10 +217,10 @@ void emitSweep(JsonWriter& w, const char* key, const std::vector<unsigned>& valu
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchCli cli = parseBenchCli(argc, argv, "BENCH_dswp.json");
-  std::vector<KernelInfo> kernels = selectKernels(cli);
+  const BenchCli cli = parseBenchCli(argc, argv);
+  const std::vector<KernelInfo> kernels = selectKernels(cli);
 
-  const auto runStart = Clock::now();
+  const uint64_t runStart = traceNowUs();
 
   // Compute every kernel's results. The pool claims kernels from a shared
   // counter; each task writes only its own slot, so any job count produces

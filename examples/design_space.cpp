@@ -1,95 +1,55 @@
 // Design-space exploration: sweep the knobs an embedded developer actually
 // turns — the HW/SW split point, the partition count and the queue sizing —
-// for one workload, and print the cycles/area frontier.
+// for one workload, and print every configuration with its place on the
+// (cycles, area, power) Pareto frontier.
 //
-// This is the hand-rolled miniature; the real subsystem is `src/explore`
-// (grid enumeration, parallel evaluation, Pareto pruning) behind the
-// `twill-explore` CLI — see README "twill-explore: design-space
-// exploration".
+// A miniature of the `twill-explore` CLI on the same library call,
+// explore() (src/explore): the grid compiles once per (partitions, split)
+// group and re-simulates per queue capacity — see README "twill-explore:
+// design-space exploration".
 //
-//   $ ./examples/design_space
+//   $ ./build/design_space
 #include <cstdio>
 
-#include "bench/bench_common.h"
+#include "src/chstone/kernels.h"
+#include "src/explore/explorer.h"
 
 using namespace twill;
-using namespace twill::bench;
 
 int main() {
   // An ADPCM-style codec loop: a realistic "deploy this on a Zynq" workload.
-  KernelInfo k = *findKernel("adpcm");
+  const KernelInfo& k = *findKernel("adpcm");
+  ExploreRequest req;
+  req.name = k.name;
+  req.source = k.source;
+  req.space.partitions = {2, 4, 6};
+  req.space.swFractions = {0.05, 0.25, 0.50};
+  req.space.queueCapacities = {2, 8, 32};
+  const ExploreResult res = explore(req, /*jobs=*/2);
 
-  std::printf("Design-space exploration for '%s'\n", k.name);
-  std::printf("%-22s %10s %8s %10s %9s\n", "configuration", "cycles", "queues", "HWthreads",
-              "HW LUTs");
-
-  // Baselines.
-  {
-    PreparedKernel pk = prepareKernel(k);
-    SimOutcome sw = simulatePureSW(*pk.base);
-    SimOutcome hw = simulatePureHW(*pk.base, pk.baseSchedules);
-    AreaEstimate legup;
-    for (auto& [fn, s] : pk.baseSchedules) legup += s.area;
-    std::printf("%-22s %10llu %8s %10s %9s\n", "pure software",
-                static_cast<unsigned long long>(sw.cycles), "-", "-", "-");
-    std::printf("%-22s %10llu %8s %10s %9u\n", "pure hardware",
-                static_cast<unsigned long long>(hw.cycles), "-", "-", legup.luts);
-  }
-
-  // Split-point sweep.
-  for (double frac : {0.05, 0.25, 0.50}) {
-    DswpConfig cfg;
-    cfg.swFraction = frac;
-    PreparedKernel pk = prepareKernel(k, cfg);
-    if (!pk.ok) continue;
-    SimConfig sc;
-    uint64_t cycles = runTwillCycles(pk, sc);
-    AreaEstimate hwArea;
-    for (const auto& t : pk.dswp.threads)
-      if (t.isHW) {
-        auto it = pk.twillSchedules.find(t.fn);
-        if (it != pk.twillSchedules.end()) hwArea += it->second.area;
-      }
-    char label[64];
-    std::snprintf(label, sizeof label, "twill sw-split=%.0f%%", frac * 100);
-    std::printf("%-22s %10llu %8u %10u %9u\n", label,
-                static_cast<unsigned long long>(cycles), pk.dswp.totalQueues(),
-                pk.dswp.hwThreadCount(), hwArea.luts);
-  }
-
-  // Partition-count sweep at the default split.
-  for (unsigned kParts : {2u, 4u, 6u}) {
-    DswpConfig cfg;
-    cfg.numPartitions = kParts;
-    PreparedKernel pk = prepareKernel(k, cfg);
-    if (!pk.ok) continue;
-    SimConfig sc;
-    uint64_t cycles = runTwillCycles(pk, sc);
-    char label[64];
-    std::snprintf(label, sizeof label, "twill K=%u", kParts);
-    std::printf("%-22s %10llu %8u %10u %9s\n", label,
-                static_cast<unsigned long long>(cycles), pk.dswp.totalQueues(),
-                pk.dswp.hwThreadCount(), "-");
-  }
-
-  // Queue capacity sweep (Fig 6.6 in miniature).
-  {
-    DswpConfig cfg;
-    PreparedKernel pk = prepareKernel(k, cfg);
-    for (unsigned cap : {2u, 8u, 32u}) {
-      SimConfig sc;
-      sc.queueCapacity = cap;
-      uint64_t cycles = runTwillCycles(pk, sc);
-      char label[64];
-      std::snprintf(label, sizeof label, "twill queue-len=%u", cap);
-      std::printf("%-22s %10llu %8u %10u %9s\n", label,
-                  static_cast<unsigned long long>(cycles), pk.dswp.totalQueues(),
-                  pk.dswp.hwThreadCount(), "-");
+  std::printf("Design-space exploration for '%s' (* = on the frontier)\n", k.name);
+  std::printf("%-3s %8s %9s %10s %8s %10s %9s\n", "K", "sw-split", "queue-len", "cycles", "queues",
+              "HWthreads", "HW LUTs");
+  for (const PointResult& p : res.points) {
+    const ConfigPoint& c = p.point;
+    std::printf("%-3u %7.0f%% %9u ", c.dswp.numPartitions, c.dswp.swFraction * 100,
+                c.sim.queueCapacity);
+    if (!p.ok) {
+      std::printf("FAILED: %s\n", p.error.c_str());
+      continue;
     }
+    const BenchmarkReport& r = p.report;
+    std::printf("%10llu %8u %10u %9u%s\n", static_cast<unsigned long long>(r.twill.cycles),
+                r.queues, r.hwThreads, r.areas.twillHwThreads.luts, p.onFrontier ? " *" : "");
   }
-
+  if (!res.points.empty() && res.points[0].ok) {
+    const BenchmarkReport& base = res.points[0].report;
+    std::printf("\nBaselines: pure software %llu cycles; pure hardware %llu cycles, %u LUTs.\n",
+                static_cast<unsigned long long>(base.sw.cycles),
+                static_cast<unsigned long long>(base.hw.cycles), base.areas.legup.luts);
+  }
   std::printf("\nReading the frontier: small SW splits keep the processor off the\n"
               "critical path; more partitions add TLP until queue traffic saturates\n"
               "the module bus; queues shorter than ~8 throttle the pipeline.\n");
-  return 0;
+  return res.ok ? 0 : 1;
 }

@@ -7,7 +7,7 @@
 #include "src/exec/superblock.h"
 #include "src/ir/eval.h"
 #include "src/ir/printer.h"
-#include "src/support/stopwatch.h"
+#include "src/obs/trace.h"
 
 namespace twill {
 
@@ -265,7 +265,7 @@ InterpOutcome Interp::runChecked(Function* f, std::vector<uint32_t> args, uint64
   if (!prog_) prog_ = std::make_unique<DecodedProgram>(module_, layout_);
   FunctionalChannels chans;
   ExecState st(*prog_, memory(), chans, f, std::move(args));
-  const auto start = stopwatchNow();
+  const uint64_t startUs = traceNowUs();
   uint64_t remaining = maxSteps;
   auto outOfSteps = [&]() -> InterpOutcome& {
     out.resource = true;
@@ -294,7 +294,7 @@ InterpOutcome Interp::runChecked(Function* f, std::vector<uint32_t> args, uint64
       out.message = st.trapMessage();
       return out;
     }
-    if (wallBudgetMs > 0 && msSince(start) > wallBudgetMs) {
+    if (wallBudgetMs > 0 && static_cast<double>(traceNowUs() - startUs) > wallBudgetMs * 1000) {
       out.resource = true;
       out.message = "wall-clock budget exceeded in @" + f->name() + " (" +
                     std::to_string(wallBudgetMs) + " ms)";

@@ -1,6 +1,7 @@
 #include "src/serve/service.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "src/exec/superblock.h"
 #include "src/support/json.h"
@@ -371,8 +372,7 @@ void TwillService::runJob(uint64_t id) {
   }
 
   // Per-job trace: the queued span is emitted retroactively now that it
-  // ended; the run span closes (and the file is written) on every return
-  // path below. The TraceScope makes the compile-stage spans land here, and
+  // ended. The TraceScope makes the compile-stage spans land here, and
   // cfg.trace (set on the sim paths) adds the cycle-stamped sim rows.
   const uint64_t runStartUs = traceNowUs();
   if (trace) {
@@ -382,24 +382,22 @@ void TwillService::runJob(uint64_t id) {
     trace->span(kTracePidServe, 0, catJob, trace->intern("queued"), submitUs, runStartUs);
   }
   TraceScope traceScope(trace.get());
-  struct JobTraceCloser {
-    TraceRecorder* trace;
-    const std::string& dir;
-    uint64_t id;
-    uint64_t startUs;
-    ~JobTraceCloser() {
-      if (!trace) return;
-      const TraceRecorder::StrId catJob = trace->intern("job");
-      trace->span(kTracePidServe, 0, catJob, trace->intern("run"), startUs, traceNowUs());
-      std::string error;  // best-effort: a full disk must not fail the job
-      trace->writeFile(dir + "/job-" + std::to_string(id) + ".trace.json", error);
-    }
-  } traceCloser{trace.get(), cfg_.traceDir, id, runStartUs};
+  // Closes the run span and writes the trace file. Every completion path
+  // calls it before publishing Done, so a client that sees the job done
+  // (or a drain() that returns) finds the file complete.
+  auto writeTrace = [&] {
+    if (!trace) return;
+    const TraceRecorder::StrId catJob = trace->intern("job");
+    trace->span(kTracePidServe, 0, catJob, trace->intern("run"), runStartUs, traceNowUs());
+    std::string error;  // best-effort: a full disk must not fail the job
+    trace->writeFile(cfg_.traceDir + "/job-" + std::to_string(id) + ".trace.json", error);
+  };
 
   const std::string fullKey = requestCacheKey(req);
   const std::string compileKey = compileCacheKey(req);
 
   // Level 1: byte-identical repeat — serve the stored document.
+  std::optional<CachedResponse> fullHit;
   std::shared_ptr<CacheEntry> entry;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -407,32 +405,21 @@ void TwillService::runJob(uint64_t id) {
     if (hit != responses_.end()) {
       mFullHits_->inc();
       responseUse_[fullKey] = ++useClock_;
-      auto it = jobs_.find(id);
-      if (it != jobs_.end()) {
-        Job& job = it->second;
-        job.httpStatus = hit->second.first;
-        job.responseJson = hit->second.second;
-        job.ok = job.httpStatus == 200;
-        // failureKind/ok bookkeeping comes from the status map inverse:
-        job.failureKind = job.httpStatus == 200   ? FailureKind::None
-                          : job.httpStatus == 422 ? FailureKind::Compile
-                          : job.httpStatus == 412 ? FailureKind::Verify
-                          : job.httpStatus == 413 ? FailureKind::Resource
-                                                  : FailureKind::Sim;
-        job.state = JobState::Done;
-        job.trace.reset();  // the closer's reference writes the file
-        countOutcome(job.failureKind);
+      fullHit = hit->second;
+    } else {
+      // Level 2 lookup happens under the same lock; the entry is used outside.
+      auto ahit = artifacts_.find(compileKey);
+      if (ahit != artifacts_.end() && ahit->second->source == req.source) {
+        entry = ahit->second;
+        entry->lastUse = ++useClock_;
       }
-      mInFlight_->add(-1);
-      drainCv_.notify_all();
-      return;
     }
-    // Level 2 lookup happens under the same lock; the entry is used outside.
-    auto ahit = artifacts_.find(compileKey);
-    if (ahit != artifacts_.end() && ahit->second->source == req.source) {
-      entry = ahit->second;
-      entry->lastUse = ++useClock_;
-    }
+  }
+  if (fullHit) {
+    writeTrace();
+    std::lock_guard<std::mutex> lock(mu_);
+    publishLocked(id, *fullHit);
+    return;
   }
 
   if (entry) {
@@ -461,6 +448,7 @@ void TwillService::runJob(uint64_t id) {
       // verbatim.
       rep.twillArtifacts.reset();
       mArtifactHits_->inc();
+      writeTrace();
       finishJob(id, fullKey, rep);
       return;
     }
@@ -488,37 +476,44 @@ void TwillService::runJob(uint64_t id) {
     evictIfNeeded();
   }
   rep.twillArtifacts.reset();  // the response/job copy does not need them
+  writeTrace();
   finishJob(id, fullKey, rep);
 }
 
 void TwillService::finishJob(uint64_t id, const std::string& fullKey,
                              const BenchmarkReport& rep) {
-  const int status = rep.ok ? 200 : httpStatusForFailure(rep.failureKind);
-  const std::string doc = reportToJson(rep) + "\n";
+  CachedResponse resp;
+  resp.kind = rep.ok ? FailureKind::None : rep.failureKind;
+  resp.status = httpStatusForFailure(resp.kind);
+  resp.doc = reportToJson(rep) + "\n";
   std::lock_guard<std::mutex> lock(mu_);
+  publishLocked(id, resp);
+  // Cache the response under the full key (the level-1 hit path).
+  responses_[fullKey] = std::move(resp);
+  responseUse_[fullKey] = ++useClock_;
+  evictIfNeeded();
+}
+
+void TwillService::publishLocked(uint64_t id, const CachedResponse& resp) {
   auto it = jobs_.find(id);
   if (it != jobs_.end()) {
     Job& job = it->second;
     job.state = JobState::Done;
-    job.ok = rep.ok;
-    job.failureKind = rep.failureKind;
-    job.httpStatus = status;
-    job.responseJson = doc;
+    job.ok = resp.kind == FailureKind::None;
+    job.failureKind = resp.kind;
+    job.httpStatus = resp.status;
+    job.responseJson = resp.doc;
     job.request = CompileRequest();  // the source is no longer needed
-    job.trace.reset();  // runJob's closer still holds a reference
+    job.trace.reset();               // runJob already wrote the file
   }
-  countOutcome(rep.ok ? FailureKind::None : rep.failureKind);
-  // Cache the response under the full key (the level-1 hit path).
-  responses_[fullKey] = {status, doc};
-  responseUse_[fullKey] = ++useClock_;
-  evictIfNeeded();
+  countOutcome(resp.kind);
   mInFlight_->add(-1);
   drainCv_.notify_all();
 }
 
 size_t TwillService::cacheBytesLocked() const {
   size_t total = 0;
-  for (const auto& [key, resp] : responses_) total += key.size() + resp.second.size();
+  for (const auto& [key, resp] : responses_) total += key.size() + resp.doc.size();
   for (const auto& [key, entry] : artifacts_) total += key.size() + entry->approxBytes;
   return total;
 }
@@ -572,7 +567,7 @@ void TwillService::evictIfNeeded() {
         artifacts_.erase(aVictim);
         mEvictArtifact_->inc();
       } else {
-        total -= std::min(total, rVictim->first.size() + rVictim->second.second.size());
+        total -= std::min(total, rVictim->first.size() + rVictim->second.doc.size());
         responseUse_.erase(rVictim->first);
         responses_.erase(rVictim);
         mEvictResponse_->inc();

@@ -132,9 +132,18 @@ class TwillService {
     std::string responseJson;  // reportToJson document
     // Per-job trace capture (ServiceConfig::traceDir): recorder created at
     // submission so the queued span starts at the true enqueue time; the
-    // worker writes the file and drops the recorder at completion.
+    // worker writes the file before it publishes Done, then drops it.
     std::shared_ptr<TraceRecorder> trace;
     uint64_t submitUs = 0;
+  };
+
+  /// One response-cache entry: everything a full hit publishes, stored as
+  /// finishJob computed it (the failure kind is kept, never re-derived from
+  /// the status).
+  struct CachedResponse {
+    int status = 0;
+    FailureKind kind = FailureKind::None;
+    std::string doc;  // reportToJson document
   };
 
   /// One cached compile: the anchor report (artifacts attached when the
@@ -173,6 +182,7 @@ class TwillService {
   HttpResponse metricsResponse();
   void runJob(uint64_t id);
   void finishJob(uint64_t id, const std::string& fullKey, const BenchmarkReport& rep);
+  void publishLocked(uint64_t id, const CachedResponse& resp);  // callers hold mu_
   void evictIfNeeded();  // callers hold mu_
   size_t cacheBytesLocked() const;  // callers hold mu_
   void countOutcome(FailureKind kind);
@@ -182,8 +192,8 @@ class TwillService {
   uint64_t nextJobId_ = 1;
   uint64_t useClock_ = 0;  // LRU tick
   std::map<uint64_t, Job> jobs_;
-  // Response cache: full request key -> (status, document).
-  std::unordered_map<std::string, std::pair<int, std::string>> responses_;
+  // Response cache: full request key -> (status, failure kind, document).
+  std::unordered_map<std::string, CachedResponse> responses_;
   std::unordered_map<std::string, uint64_t> responseUse_;
   // Artifact cache: compile key -> entry (shared_ptr so a re-sim can run
   // outside mu_ while eviction drops the map reference).

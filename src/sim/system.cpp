@@ -7,7 +7,6 @@
 
 #include "src/exec/superblock.h"
 #include "src/obs/trace.h"
-#include "src/support/stopwatch.h"
 
 namespace twill {
 namespace {
@@ -16,6 +15,12 @@ namespace {
 /// against non-terminating inputs, so checking the clock every few million
 /// simulated cycles keeps the hot loops free of timer syscalls.
 constexpr uint64_t kWallCheckCycles = 4ull << 20;
+
+/// True once more than `budgetMs` of wall time has passed since `startUs`
+/// (a traceNowUs() stamp); compared in microseconds.
+bool wallBudgetSpent(uint64_t startUs, double budgetMs) {
+  return static_cast<double>(traceNowUs() - startUs) > budgetMs * 1000;
+}
 
 /// Cost models driving ExecState::runSuper for the cycle-level simulators.
 /// Each replicates, bit for bit, the accounting the per-inst scheduler loop
@@ -453,7 +458,7 @@ bool runPureLoop(SimThread& t, const SimConfig& cfg, bool& wallBreach) {
   uint64_t cycle = 0;
   uint64_t lastProgress = 0;  // unused by the baselines
   const uint64_t limit = cfg.maxCycles == UINT64_MAX ? UINT64_MAX : cfg.maxCycles + 1;
-  const auto wallStart = stopwatchNow();
+  const uint64_t wallStartUs = traceNowUs();
   uint64_t nextWallCheck = kWallCheckCycles;
   while (!t.finished() && !t.trapped()) {
     // With a wall budget the superblock run is chunked so the deadline is
@@ -463,7 +468,7 @@ bool runPureLoop(SimThread& t, const SimConfig& cfg, bool& wallBreach) {
     if (cfg.wallBudgetMs > 0 && end - cycle > kWallCheckCycles) end = cycle + kWallCheckCycles;
     const SuperRunStatus rs = t.runSuper(cycle, end, lastProgress, /*clampAtEnd=*/false);
     if (rs == SuperRunStatus::kBudget) {
-      if (cfg.wallBudgetMs > 0 && msSince(wallStart) > cfg.wallBudgetMs) {
+      if (cfg.wallBudgetMs > 0 && wallBudgetSpent(wallStartUs, cfg.wallBudgetMs)) {
         wallBreach = true;
         return false;
       }
@@ -481,7 +486,7 @@ bool runPureLoop(SimThread& t, const SimConfig& cfg, bool& wallBreach) {
     if (cycle > cfg.maxCycles) return false;
     if (cfg.wallBudgetMs > 0 && cycle >= nextWallCheck) {
       nextWallCheck = cycle + kWallCheckCycles;
-      if (msSince(wallStart) > cfg.wallBudgetMs) {
+      if (wallBudgetSpent(wallStartUs, cfg.wallBudgetMs)) {
         wallBreach = true;
         return false;
       }
@@ -569,7 +574,7 @@ SimOutcome simulateTwill(Module& m, const DswpResult& dswp, const SimConfig& cfg
   for (auto& p : procs) p.quantumEnd = cfg.schedQuantum;
   uint64_t cycle = 0;
   uint64_t lastProgress = 0;
-  const auto wallStart = stopwatchNow();
+  const uint64_t wallStartUs = traceNowUs();
   uint64_t nextWallCheck = kWallCheckCycles;
 
   // --- Trace plumbing -------------------------------------------------------
@@ -734,7 +739,7 @@ SimOutcome simulateTwill(Module& m, const DswpResult& dswp, const SimConfig& cfg
     // check interval.
     if (cfg.wallBudgetMs > 0 && cycle >= nextWallCheck) {
       nextWallCheck = cycle + kWallCheckCycles;
-      if (msSince(wallStart) > cfg.wallBudgetMs) {
+      if (wallBudgetSpent(wallStartUs, cfg.wallBudgetMs)) {
         out.message = "wall-clock budget exceeded (" + std::to_string(cfg.wallBudgetMs) +
                       " ms) at cycle " + std::to_string(cycle);
         out.resourceBreach = true;

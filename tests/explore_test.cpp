@@ -8,6 +8,7 @@
 #include <cmath>
 #include <set>
 
+#include "src/chstone/kernels.h"
 #include "src/explore/explorer.h"
 #include "src/explore/pareto.h"
 #include "src/explore/pool.h"
@@ -329,6 +330,32 @@ TEST(ExplorerTest, ResourceBreachPrunesTheWholeCompileGroup) {
     EXPECT_NE(p.error.find("resource"), std::string::npos) << p.error;
   }
   EXPECT_TRUE(res.frontier.empty());
+}
+
+TEST(ExplorerTest, PinsThePaperSplitFigures) {
+  // One row each of Fig 6.3 (mips across SW splits) and Fig 6.4 (blowfish,
+  // the tuned K=2 row), which tools/paper_figures.py renders from a
+  // twill-explore document; the rest of Ch. 6 is pinned by the bench gate.
+  struct Row {
+    const char* kernel;
+    unsigned partitions;
+    uint64_t cycles;
+    unsigned queues;
+  };
+  for (const Row& row : {Row{"mips", 0, 163286, 80}, Row{"blowfish", 2, 287416, 5}}) {
+    const KernelInfo* k = findKernel(row.kernel);
+    ASSERT_NE(k, nullptr) << row.kernel;
+    ExploreRequest req;
+    req.name = k->name;
+    req.source = k->source;
+    req.space.partitions = {row.partitions};
+    req.space.swFractions = {0.05};
+    ExploreResult res = explore(req);
+    ASSERT_TRUE(res.ok) << res.error;
+    ASSERT_EQ(res.points.size(), 1u);
+    EXPECT_EQ(res.points[0].report.twill.cycles, row.cycles) << row.kernel;
+    EXPECT_EQ(res.points[0].report.queues, row.queues) << row.kernel;
+  }
 }
 
 TEST(ExplorerTest, CsvHasHeaderAndOneRowPerPoint) {

@@ -1,116 +1,28 @@
 // Property tests for the DSWP extractor over randomly generated programs.
 //
-// A small deterministic program generator emits C-subset sources (nested
-// loops, branches, array traffic, mixed arithmetic); for every seed and
-// partitioning configuration the extracted pipeline must produce the exact
-// result of the original program, drain all data queues, and pass the IR
-// verifier. This is the closest thing to a proof the control-replication
-// scheme balances every produce with exactly one consume on every path.
+// The fuzzing generator (src/fuzz/progen.h) emits C-subset sources (helper
+// functions, nested loops, branches, switches, array traffic, mixed
+// arithmetic); for every seed and partitioning configuration the extracted
+// pipeline must produce the exact result of the original program, drain all
+// data queues, and pass the IR verifier. This is the closest thing to a
+// proof the control-replication scheme balances every produce with exactly
+// one consume on every path.
 #include <gtest/gtest.h>
-
-#include <random>
-#include <sstream>
 
 #include "src/dswp/extract.h"
 #include "src/frontend/lower.h"
+#include "src/fuzz/progen.h"
 #include "src/ir/interp.h"
-#include "src/ir/printer.h"
 #include "src/ir/verifier.h"
 #include "src/transforms/passes.h"
 
 namespace twill {
 namespace {
 
-class ProgramGen {
-public:
-  explicit ProgramGen(uint32_t seed) : rng_(seed) {}
-
-  std::string generate() {
-    std::ostringstream os;
-    os << "int arr0[16]; int arr1[16];\n";
-    os << "int main(void) {\n";
-    os << "  int v0 = " << pick(1, 100) << "; int v1 = " << pick(1, 100)
-       << "; int v2 = 7; int v3 = 1;\n";
-    int stmts = pick(4, 8);
-    for (int i = 0; i < stmts; ++i) statement(os, 1, 2);
-    os << "  int acc = v0 ^ (v1 << 1) ^ (v2 * 3) ^ v3;\n";
-    os << "  for (int i = 0; i < 16; i++) acc += arr0[i] * 5 + arr1[i];\n";
-    os << "  return acc & 0x7FFFFFFF;\n";
-    os << "}\n";
-    return os.str();
-  }
-
-private:
-  int pick(int lo, int hi) { return lo + static_cast<int>(rng_() % (hi - lo + 1)); }
-
-  std::string var() { return "v" + std::to_string(pick(0, 3)); }
-  std::string arr() { return pick(0, 1) ? "arr1" : "arr0"; }
-
-  std::string expr(int depth) {
-    if (depth <= 0 || pick(0, 3) == 0) {
-      switch (pick(0, 2)) {
-        case 0: return var();
-        case 1: return std::to_string(pick(1, 64));
-        default: return arr() + "[" + var() + " & 15]";
-      }
-    }
-    static const char* ops[] = {" + ", " - ", " * ", " ^ ", " & ", " | "};
-    std::string op = ops[pick(0, 5)];
-    // Shift and divide with safe right operands.
-    if (pick(0, 5) == 0) return "(" + expr(depth - 1) + " >> " + std::to_string(pick(1, 7)) + ")";
-    if (pick(0, 6) == 0)
-      return "(" + expr(depth - 1) + " / " + std::to_string(pick(1, 9)) + ")";
-    return "(" + expr(depth - 1) + op + expr(depth - 1) + ")";
-  }
-
-  void statement(std::ostringstream& os, int indent, int depth) {
-    std::string pad(static_cast<size_t>(indent) * 2, ' ');
-    switch (depth > 0 ? pick(0, 4) : 0) {
-      case 0:  // plain assignment
-        os << pad << var() << " = " << expr(2) << ";\n";
-        break;
-      case 1:  // array store
-        os << pad << arr() << "[" << var() << " & 15] = " << expr(2) << ";\n";
-        break;
-      case 2: {  // bounded for loop
-        std::string iv = "i" + std::to_string(counter_++);
-        os << pad << "for (int " << iv << " = 0; " << iv << " < " << pick(3, 12) << "; " << iv
-           << "++) {\n";
-        int inner = pick(1, 3);
-        for (int i = 0; i < inner; ++i) statement(os, indent + 1, depth - 1);
-        os << pad << "  " << var() << " += " << iv << ";\n";
-        os << pad << "}\n";
-        break;
-      }
-      case 3: {  // if/else
-        os << pad << "if (" << expr(1) << " > " << pick(0, 50) << ") {\n";
-        statement(os, indent + 1, depth - 1);
-        os << pad << "} else {\n";
-        statement(os, indent + 1, depth - 1);
-        os << pad << "}\n";
-        break;
-      }
-      default: {  // while with a decreasing bound
-        std::string lv = "w" + std::to_string(counter_++);
-        os << pad << "int " << lv << " = " << pick(2, 9) << ";\n";
-        os << pad << "while (" << lv << " > 0) {\n";
-        statement(os, indent + 1, 0);
-        os << pad << "  " << lv << "--;\n";
-        os << pad << "}\n";
-        break;
-      }
-    }
-  }
-
-  std::mt19937 rng_;
-  int counter_ = 0;
-};
-
 class RandomExtraction : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(RandomExtraction, PipelineEqualsReferenceAndDrainsQueues) {
-  ProgramGen gen(GetParam());
-  std::string src = gen.generate();
+  const std::string src = generateProgram(GetParam());
   SCOPED_TRACE(src);
 
   for (unsigned k : {2u, 4u}) {

@@ -14,7 +14,8 @@ namespace twill {
 namespace {
 
 // Golden checksums, frozen. If one of these changes, a kernel's semantics
-// changed — which invalidates every measured number in EXPERIMENTS.md.
+// changed — which invalidates every measured number in the committed bench
+// baseline (bench/baseline/BENCH_dswp.json).
 struct Golden {
   const char* name;
   uint32_t checksum;

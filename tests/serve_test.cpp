@@ -97,15 +97,39 @@ HttpRequest get(const std::string& target) {
   return req;
 }
 
-/// Submits and waits for completion; returns the report response.
-HttpResponse submitAndFetch(TwillService& svc, const std::string& body) {
+/// Submits and waits for completion; returns the job id.
+std::string submitAndDrain(TwillService& svc, const std::string& body) {
   HttpResponse sub = svc.handle(post("/v1/jobs", body));
   EXPECT_EQ(sub.status, 202) << sub.body;
   const size_t idPos = sub.body.find("\"job_id\": ");
   EXPECT_NE(idPos, std::string::npos) << sub.body;
-  const std::string id = sub.body.substr(idPos + 10, sub.body.find(',', idPos) - idPos - 10);
   svc.drain();
-  return svc.handle(get("/v1/jobs/" + id + "/report"));
+  return sub.body.substr(idPos + 10, sub.body.find(',', idPos) - idPos - 10);
+}
+
+/// Submits and waits for completion; returns the report response.
+HttpResponse submitAndFetch(TwillService& svc, const std::string& body) {
+  return svc.handle(get("/v1/jobs/" + submitAndDrain(svc, body) + "/report"));
+}
+
+/// Submits `body` twice: a miss, then a repeat the response cache answers
+/// in full. Both jobs must finish with `status` and failure kind `kind`, and
+/// the hit must serve the miss's document. Returns the first report.
+HttpResponse fetchMissThenFullHit(TwillService& svc, const std::string& body, int status,
+                                  const std::string& kind) {
+  HttpResponse reports[2];
+  for (HttpResponse& report : reports) {
+    const std::string id = submitAndDrain(svc, body);
+    report = svc.handle(get("/v1/jobs/" + id + "/report"));
+    EXPECT_EQ(report.status, status) << report.body;
+    const std::string state = svc.handle(get("/v1/jobs/" + id)).body;
+    EXPECT_NE(state.find("\"failure_kind\": \"" + kind + "\""), std::string::npos) << state;
+    EXPECT_NE(state.find("\"report_status\": " + std::to_string(status)), std::string::npos)
+        << state;
+  }
+  EXPECT_EQ(svc.stats().cacheFullHits, 1u);
+  EXPECT_EQ(reports[1].body, reports[0].body);
+  return reports[0];
 }
 
 /// The *_wall_ms fields are the only nondeterministic report content; the
@@ -250,42 +274,46 @@ TEST(ServeTest, CompileAxisChangeMissesTheCache) {
 
 TEST(ServeTest, CompileFailureMapsTo422) {
   TwillService svc{ServiceConfig{}};
-  HttpResponse report = submitAndFetch(svc, sourceRequest("int main( {"));
-  EXPECT_EQ(report.status, 422) << report.body;
+  HttpResponse report = fetchMissThenFullHit(svc, sourceRequest("int main( {"), 422, "compile");
   EXPECT_NE(report.body.find("\"failure_kind\": \"compile\""), std::string::npos)
       << report.body;
+  EXPECT_EQ(svc.stats().failCompile, 2u);
 }
 
 TEST(ServeTest, VerifyFailureMapsTo412WithDiagnostics) {
   TwillService svc{ServiceConfig{}};
-  HttpResponse report = submitAndFetch(
-      svc, sourceRequest(kTwoCallSiteProgram,
-                         "\"compile\": {\"inline_threshold\": 0, \"partitions\": 2}, "
-                         "\"verify\": {\"unseed_semaphores\": true}"));
-  EXPECT_EQ(report.status, 412) << report.body;
+  HttpResponse report = fetchMissThenFullHit(
+      svc,
+      sourceRequest(kTwoCallSiteProgram,
+                    "\"compile\": {\"inline_threshold\": 0, \"partitions\": 2}, "
+                    "\"verify\": {\"unseed_semaphores\": true}"),
+      412, "verify");
   EXPECT_NE(report.body.find("\"failure_kind\": \"verify\""), std::string::npos)
       << report.body;
   // Structured diagnostics, produced without entering the simulator.
   EXPECT_NE(report.body.find("\"verify_diagnostics\""), std::string::npos) << report.body;
+  EXPECT_EQ(svc.stats().failVerify, 2u);
 }
 
 TEST(ServeTest, SimFailureMapsTo500) {
   TwillService svc{ServiceConfig{}};
-  HttpResponse report = submitAndFetch(
-      svc, sourceRequest(kQuickProgram, "\"sim\": {\"max_cycles\": 2}"));
-  EXPECT_EQ(report.status, 500) << report.body;
+  HttpResponse report = fetchMissThenFullHit(
+      svc, sourceRequest(kQuickProgram, "\"sim\": {\"max_cycles\": 2}"), 500, "sim");
   EXPECT_NE(report.body.find("\"failure_kind\": \"sim\""), std::string::npos) << report.body;
+  EXPECT_EQ(svc.stats().failSim, 2u);
 }
 
 TEST(ServeTest, ResourceBreachMapsTo413) {
   // ~1.2 MB of globals against a 1 MiB request-side ceiling.
   TwillService svc{ServiceConfig{}};
-  HttpResponse report = submitAndFetch(
-      svc, sourceRequest("int g[300000];\nint main() { g[0] = 7; return g[0]; }\n",
-                         "\"limits\": {\"max_memory_mb\": 1}"));
-  EXPECT_EQ(report.status, 413) << report.body;
+  HttpResponse report = fetchMissThenFullHit(
+      svc,
+      sourceRequest("int g[300000];\nint main() { g[0] = 7; return g[0]; }\n",
+                    "\"limits\": {\"max_memory_mb\": 1}"),
+      413, "resource");
   EXPECT_NE(report.body.find("\"failure_kind\": \"resource\""), std::string::npos)
       << report.body;
+  EXPECT_EQ(svc.stats().failResource, 2u);
 }
 
 TEST(ServeTest, ServerCeilingTightensRequestLimits) {

@@ -99,6 +99,14 @@ AreaEstimate runtimeArea(const DswpResult& dswp, unsigned hwThreadCount) {
   return a;
 }
 
+/// Simulators observe the resource ceilings through their config (see the
+/// DriverOptions::limits doc).
+SimConfig limitedSimConfig(SimConfig sim, const ResourceLimits& limits) {
+  sim.memoryBytes = limits.memLimitBytes;
+  sim.wallBudgetMs = limits.stageTimeoutMs;
+  return sim;
+}
+
 }  // namespace
 
 BenchmarkReport runBenchmark(const std::string& name, const std::string& source,
@@ -111,11 +119,7 @@ BenchmarkReport runBenchmark(const std::string& name, const std::string& source,
   rep.ranHW = opts.runPureHW && !verifyOnly;
   rep.ranTwill = opts.runTwill && !verifyOnly;
 
-  // Simulators observe the resource ceilings through their config (see the
-  // DriverOptions::limits doc).
-  SimConfig sim = opts.sim;
-  sim.memoryBytes = opts.limits.memLimitBytes;
-  sim.wallBudgetMs = opts.limits.stageTimeoutMs;
+  SimConfig sim = limitedSimConfig(opts.sim, opts.limits);
   // When the caller did not plumb a sim recorder explicitly, inherit the
   // thread's installed one (twillc --trace, twilld --trace-dir) so one flag
   // captures compile and sim in a single file.
@@ -259,7 +263,7 @@ BenchmarkReport runBenchmark(const std::string& name, const std::string& source,
   rep.areas.twillPlusMicroblaze.brams += PrimitiveAreas::kMicroblazeBrams;
 
   // Power (Fig. 6.1): normalized to pure SW.
-  if (opts.runPureSW && opts.runPureHW) computePower(rep);
+  if (rep.ranSW && rep.ranHW) computePower(rep);
 
   if (opts.keepTwillArtifacts) {
     auto art = std::make_shared<TwillArtifacts>();
@@ -270,6 +274,16 @@ BenchmarkReport runBenchmark(const std::string& name, const std::string& source,
   }
 
   rep.ok = true;
+  return rep;
+}
+
+BenchmarkReport resimulateTwill(const BenchmarkReport& anchor, const TwillArtifacts& art,
+                                SimProgram& prog, const SimConfig& sim,
+                                const ResourceLimits& limits) {
+  BenchmarkReport rep = anchor;
+  rep.twill = simulateTwill(*art.module, art.dswp, limitedSimConfig(sim, limits), art.schedules,
+                            &prog);
+  if (acceptTwillOutcome(rep) && rep.ranSW && rep.ranHW) computePower(rep);
   return rep;
 }
 

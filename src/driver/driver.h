@@ -162,17 +162,27 @@ struct BenchmarkReport {
 BenchmarkReport runBenchmark(const std::string& name, const std::string& source,
                              const DriverOptions& opts = {});
 
+/// Re-simulates kept Twill artifacts under another SimConfig: the reuse
+/// path of the explorer's compile groups and of twilld's artifact cache.
+/// Returns `anchor` with the Twill outcome and power replaced; everything
+/// else (module, schedules, DSWP structure, areas, pure-flow outcomes)
+/// reads no sim knob. `art` is passed explicitly because a caller may have
+/// moved it off the anchor; `prog` is its shared decode. The simulator
+/// observes `limits` the way runBenchmark's flows do.
+BenchmarkReport resimulateTwill(const BenchmarkReport& anchor, const TwillArtifacts& art,
+                                SimProgram& prog, const SimConfig& sim,
+                                const ResourceLimits& limits);
+
 /// Recomputes the Fig. 6.1 power fields (powerSW/HW/Twill) from the flow
 /// outcomes, areas and thread counts already on the report. runBenchmark
-/// calls this once all three flows ran; the explorer reuses it when it
-/// re-simulates the Twill flow of a prepared report under a different
-/// SimConfig (the outcomes change, the formula does not).
+/// and resimulateTwill call this once all three flows ran (the outcomes
+/// change, the formula does not).
 void computePower(BenchmarkReport& rep);
 
 /// Validates rep.twill against the golden checksum: on a failed simulation
 /// or a result mismatch, sets ok=false with the canonical error string and
-/// returns false. Shared by runBenchmark and the explorer's artifact-reuse
-/// path so both classify a failing configuration identically.
+/// returns false. Shared by runBenchmark and resimulateTwill so both
+/// classify a failing configuration identically.
 bool acceptTwillOutcome(BenchmarkReport& rep);
 
 class JsonWriter;

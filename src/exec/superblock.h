@@ -19,9 +19,9 @@
 //
 // Cost models parameterize the runner so every engine keeps its exact
 // accounting: the functional engines count step attempts, and the
-// cycle-level simulators (src/sim/system.cpp) replicate their per-op
-// charging bit for bit — reports stay byte-identical to per-inst stepping.
-// The model contract:
+// cycle-level simulators (src/sim/system.cpp) charge both tiers through one
+// cost model per domain (SwCost/HwCost), so reports are byte-identical to
+// per-inst stepping. The model contract:
 //
 //   bool begin();                        // before each op; false = stop now
 //   bool end(const SuperOp&);            // after a straight-line op

@@ -90,23 +90,11 @@ void evalGroup(const ExploreRequest& req, ExploreResult& res, size_t first, size
   SimProgram prog(*art->module, art->schedules);  // one decode for the group
   for (size_t k = 1; k < count; ++k) {
     PointResult& p = res.points[first + k];
-    // Everything but the Twill outcome and power carries over from the
-    // anchor: same module, schedules, DSWP structure, areas, and pure-flow
-    // outcomes (those read no swept sim knob; see runPureLoop).
-    p.report = anchor.report;
-    // The artifact-reuse path must observe the same resource ceilings the
-    // driver derives from its limits (driver.cpp does this for the anchor).
     SimConfig sim = p.point.sim;
-    sim.memoryBytes = req.limits.memLimitBytes;
-    sim.wallBudgetMs = req.limits.stageTimeoutMs;
     std::unique_ptr<TraceRecorder> rec;
     captureInto(sim, rec);
-    p.report.twill = simulateTwill(*art->module, art->dswp, sim, art->schedules, &prog);
+    takeReport(p, resimulateTwill(anchor.report, *art, prog, sim, req.limits));
     if (rec) p.traceJson = rec->toJson();
-    if (acceptTwillOutcome(p.report)) computePower(p.report);
-    p.ok = p.report.ok;
-    p.error = p.report.error;
-    if (p.ok) fillObjectives(p);
   }
 }
 

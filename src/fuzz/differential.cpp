@@ -148,6 +148,8 @@ DifferentialResult runDifferential(const std::string& source, uint64_t stepBudge
 
   if (sameRun(ref, dec) && sameRun(ref, supFull) && sameRun(ref, supResume)) {
     out.agree = true;
+    out.finished = ref.finished;
+    if (!out.finished) out.detail = describe("every engine", ref);
     return out;
   }
   out.detail = describe("reference", ref) + "\n" + describe("decoded", dec) + "\n" +

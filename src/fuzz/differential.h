@@ -21,7 +21,8 @@ namespace twill {
 struct DifferentialResult {
   bool compiled = false;  // source compiled + passed the default pipeline
   bool agree = false;     // every engine produced identical observables
-  std::string detail;     // compile diagnostics or first divergence
+  bool finished = false;  // the engines agree and main returned (no trap)
+  std::string detail;     // compile diagnostics, first divergence or shared trap
 };
 
 /// Compiles `source` (default pipeline, default resource limits) and checks

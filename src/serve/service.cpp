@@ -429,23 +429,18 @@ void TwillService::runJob(uint64_t id) {
     // run. Every other anchor outcome is reusable.
     if (!(anchor.ok == false && anchor.twillSimFailure)) {
       std::lock_guard<std::mutex> entryLock(entry->mu);
-      BenchmarkReport rep = anchor;
-      rep.name = req.name;
-      if (anchor.ok && rep.twillArtifacts) {
-        // Re-simulate the kept artifacts under this request's sim knobs,
-        // through the entry's shared decode (explorer's group-reuse path).
-        TwillArtifacts& art = *rep.twillArtifacts;
-        SimConfig sim = req.options.sim;
-        sim.memoryBytes = req.options.limits.memLimitBytes;
-        sim.wallBudgetMs = req.options.limits.stageTimeoutMs;
-        sim.trace = trace.get();  // this path bypasses the driver's hookup
-        rep.twill = simulateTwill(*art.module, art.dswp, sim, art.schedules, entry->prog.get());
-        if (acceptTwillOutcome(rep) && req.options.runPureSW && req.options.runPureHW)
-          computePower(rep);
-      }
-      // else: no artifacts (pure flows only, verify-only, or a compile-side
-      // failure) — the anchor outcome is sim-axis-independent and is reused
+      SimConfig sim = req.options.sim;
+      sim.trace = trace.get();  // this path bypasses the driver's hookup
+      // Re-simulate the kept artifacts under this request's sim knobs,
+      // through the entry's shared decode (explorer's group-reuse path).
+      // Without artifacts (pure flows only, verify-only, or a compile-side
+      // failure) the anchor outcome is sim-axis-independent and is reused
       // verbatim.
+      BenchmarkReport rep = anchor.ok && anchor.twillArtifacts
+                                ? resimulateTwill(anchor, *anchor.twillArtifacts, *entry->prog,
+                                                  sim, req.options.limits)
+                                : anchor;
+      rep.name = req.name;
       rep.twillArtifacts.reset();
       mArtifactHits_->inc();
       writeTrace();

@@ -22,9 +22,8 @@ bool wallBudgetSpent(uint64_t startUs, double budgetMs) {
   return static_cast<double>(traceNowUs() - startUs) > budgetMs * 1000;
 }
 
-/// Cost models driving ExecState::runSuper for the cycle-level simulators.
-/// Each replicates, bit for bit, the accounting the per-inst scheduler loop
-/// performs around SimThread::step(): charge the op (busyUntil/busyCycles),
+/// The clock the per-inst scheduler loops keep around SimThread::step(),
+/// inlined for ExecState::runSuper: charge the op (busyUntil/busyCycles),
 /// record progress, advance the clock one step (`cycle = max(cycle + 1,
 /// busyUntil)`), and stop at the budget boundary. Two boundary flavours
 /// exist because the solo-burst loop clamps (`cycle > end` -> cycle = end)
@@ -63,81 +62,110 @@ struct BurstClock {
   }
 };
 
+// Cost policies, one per domain, charged by both tiers: SimThread::chargeFor
+// after each per-inst step(), BurstModel inside the superblock runner. op()
+// prices a straight-line SuperOp, inst() any other op (a per-inst step or a
+// block exit), channelOp() a completed runtime-primitive op from the
+// handshake cycles its port measured.
+
 /// Software thread (Microblaze model): every op costs its pre-computed
 /// Microblaze cycles.
-struct SwBurstModel {
-  BurstClock clk;
-  const DecodedInst* finishInst = nullptr;
-
-  bool begin() const { return clk.begin(); }
-  bool end(const SuperOp& so) { return clk.advance(so.swCost); }
-  bool endTerm(const DecodedInst& d) { return clk.advance(d.swCost); }
-  void endFinish(const DecodedInst& d) {
-    finishInst = &d;
-    clk.finish(d.swCost);
-  }
+struct SwCost {
+  static uint64_t op(const SuperOp& so, uint64_t) { return so.swCost; }
+  static uint64_t inst(const DecodedInst& d, uint64_t) { return d.swCost; }
+  static uint64_t channelOp(unsigned handshake) { return handshake; }
 };
 
-/// Hardware thread (HLS FSM executor): straight-line ops are absorbed into
-/// the block's static cycles, memory ops charge the (stateful) bus or
-/// dual-port BRAM, and terminators charge the block's FSM cost with the
-/// modulo-scheduled steady-state tracking. Mirrors SimThread::chargeFor.
-struct HwBurstModel {
-  BurstClock clk;
-  BusModel* memBus;      // Twill: the shared memory bus
-  PortModel* localMem;   // pure hardware: dual-port block memories
-  uint32_t prevBlock1;
-  uint32_t prevBlock2;
-  bool pipelinedMode;
-  const DecodedInst* finishInst = nullptr;
+/// Hardware thread (HLS FSM executor): per-block FSM cost charged on the
+/// terminator; memory ops dynamically against the memory bus; everything
+/// else is covered by the block's static state count. Blocks re-executing
+/// back-to-back run in modulo-scheduled steady state and cost their
+/// initiation interval.
+class HwCost {
+public:
+  /// `memBus`: Twill's shared memory bus, or null for the pure-HW flow's
+  /// own dual-port block memories.
+  explicit HwCost(BusModel* memBus) : memBus_(memBus) {}
 
-  static constexpr uint32_t kNoBlock = 0xFFFFFFFFu;
-
-  bool begin() const { return clk.begin(); }
-  bool end(const SuperOp& so) {
-    if (so.op == Opcode::Load || so.op == Opcode::Store) {
-      unsigned handshake =
-          so.op == Opcode::Load ? RuntimeTiming::kMemRead : RuntimeTiming::kMemWrite;
-      if (pipelinedMode) handshake = 0;  // overlapped with compute
-      const uint64_t grant =
-          memBus ? memBus->acquire(clk.cycle) : localMem->acquire(clk.cycle);
-      return clk.advance((grant - clk.cycle) + handshake);
-    }
-    return clk.advance(0);  // absorbed into the block's static cycles
+  uint64_t op(const SuperOp& so, uint64_t now) {
+    if (so.op == Opcode::Load || so.op == Opcode::Store) return memOp(so.op, now);
+    return 0;  // absorbed into the block's static cycles
   }
-  uint64_t termCost(const DecodedInst& d) {
+
+  uint64_t inst(const DecodedInst& d, uint64_t now) {
     switch (d.op) {
+      case Opcode::Load:
+      case Opcode::Store:
+        return memOp(d.op, now);
       case Opcode::Br:
       case Opcode::CondBr:
       case Opcode::Ret: {
         // Steady state: this block ran within the last two control
         // transfers (covers self-loops and header/body two-block loops).
-        pipelinedMode = (d.blockUid == prevBlock1 || d.blockUid == prevBlock2);
-        prevBlock2 = prevBlock1;
-        prevBlock1 = d.blockUid;
+        pipelinedMode_ = (d.blockUid == prevBlock1_ || d.blockUid == prevBlock2_);
+        prevBlock2_ = prevBlock1_;
+        prevBlock1_ = d.blockUid;
         if (!(d.flags & DecodedInst::kHasSchedule)) return 1;
-        return pipelinedMode ? d.hlsII : d.hlsStatic;
+        return pipelinedMode_ ? d.hlsII : d.hlsStatic;
       }
       case Opcode::Call:
-        pipelinedMode = false;
-        prevBlock1 = prevBlock2 = kNoBlock;
+        pipelinedMode_ = false;
+        prevBlock1_ = prevBlock2_ = kNoBlock;
         return 1;
       default:
-        return 0;  // Switch et al: absorbed, like the per-inst engine
+        return 0;  // absorbed into the block's static cycles
     }
   }
-  bool endTerm(const DecodedInst& d) { return clk.advance(termCost(d)); }
+
+  uint64_t channelOp(unsigned handshake) const {
+    // In modulo-scheduled steady state a hardware thread overlaps the
+    // handshake with compute; only bus contention remains exposed.
+    if (pipelinedMode_ && handshake >= RuntimeTiming::kQueueOp)
+      handshake -= RuntimeTiming::kQueueOp - 1;
+    return handshake;
+  }
+
+private:
+  uint64_t memOp(Opcode op, uint64_t now) {
+    unsigned handshake = op == Opcode::Load ? RuntimeTiming::kMemRead : RuntimeTiming::kMemWrite;
+    if (pipelinedMode_) handshake = 0;  // overlapped with compute
+    // Twill: the single shared memory bus (§4.1). Pure hardware: LegUp's
+    // dual-port block memories still bound the number of accesses per cycle.
+    const uint64_t grant = memBus_ ? memBus_->acquire(now) : localMem_.acquire(now);
+    return (grant - now) + handshake;
+  }
+
+  static constexpr uint32_t kNoBlock = 0xFFFFFFFFu;
+  BusModel* memBus_;
+  PortModel localMem_{2};
+  uint32_t prevBlock1_ = kNoBlock;
+  uint32_t prevBlock2_ = kNoBlock;
+  bool pipelinedMode_ = false;
+};
+
+/// Model driving ExecState::runSuper for the cycle-level simulators: each
+/// op is priced by the thread's cost policy and clocked by BurstClock. One
+/// instantiation per domain, so the trace runner never tests the domain.
+template <class Cost>
+struct BurstModel {
+  BurstClock clk;
+  Cost& cost;
+  const DecodedInst* finishInst = nullptr;
+
+  bool begin() const { return clk.begin(); }
+  bool end(const SuperOp& so) { return clk.advance(cost.op(so, clk.cycle)); }
+  bool endTerm(const DecodedInst& d) { return clk.advance(cost.inst(d, clk.cycle)); }
   void endFinish(const DecodedInst& d) {
     finishInst = &d;
-    clk.finish(termCost(d));
+    clk.finish(cost.inst(d, clk.cycle));
   }
 };
 
 /// One executing context (a hardware thread, or one software thread of the
-/// processor). Wraps the pre-decoded ExecState with a cost model; every
-/// per-instruction cost (Microblaze cycles, per-block FSM cycles, channel
-/// ids) is read from the DecodedInst record, so charging never touches the
-/// IR or hashes into a ScheduleMap.
+/// processor). Wraps the pre-decoded ExecState with its domain's cost
+/// policy; every per-instruction cost (Microblaze cycles, per-block FSM
+/// cycles, channel ids) is read from the DecodedInst record, so charging
+/// never touches the IR or hashes into a ScheduleMap.
 class SimThread {
 public:
   SimThread(DecodedProgram& prog, Memory& mem, Fabric* fabric, Function* fn, bool isHW,
@@ -147,6 +175,7 @@ public:
         state_(prog, mem, port_ ? static_cast<ChannelIO&>(*port_) : nullChans_, fn),
         fabric_(fabric),
         isHW_(isHW),
+        hw_(fabric ? &fabric->memoryBus() : nullptr),
         token_(token) {}
 
   std::string describeLocation() const { return state_.describeLocation(); }
@@ -290,44 +319,33 @@ public:
   bool superRunnable() const { return state_.peekSuperRunnable(); }
 
   /// Superblock fast path: executes straight-line traces, fused branches
-  /// and calls back-to-back with the exact per-op cost accounting of the
-  /// per-inst loops (see the burst models above). Returns at the next
-  /// channel operation (kNeedStep), on completion/trap, or when the clock
-  /// reaches `end` (kBudget). `clampAtEnd` selects the solo-burst boundary
-  /// semantics (clamp the clock to `end`); the pure flows pass false with
-  /// end = maxCycles + 1 so the limit diagnostic fires on the same cycle.
+  /// and calls back-to-back, charged through the same cost policy as
+  /// step(). Returns at the next channel operation (kNeedStep), on
+  /// completion/trap, or when the clock reaches `end` (kBudget).
+  /// `clampAtEnd` selects the solo-burst boundary semantics (clamp the clock
+  /// to `end`); the pure flows pass false with end = maxCycles + 1 so the
+  /// limit diagnostic fires on the same cycle.
   SuperRunStatus runSuper(uint64_t& cycle, uint64_t end, uint64_t& lastProgress,
                           bool clampAtEnd) {
-    SuperRunStatus rs;
-    const DecodedInst* finishInst = nullptr;
-    if (isHW_) {
-      HwBurstModel m{{cycle, end, lastProgress, busyUntil, 0, clampAtEnd},
-                     fabric_ ? &fabric_->memoryBus() : nullptr,
-                     &localMem_,
-                     prevBlock1_,
-                     prevBlock2_,
-                     pipelinedMode_};
-      rs = state_.runSuper(m);
-      prevBlock1_ = m.prevBlock1;
-      prevBlock2_ = m.prevBlock2;
-      pipelinedMode_ = m.pipelinedMode;
-      cycle = m.clk.cycle;
-      lastProgress = m.clk.lastProgress;
-      busyUntil = m.clk.busyUntil;
-      busyCycles += m.clk.busyCycles;
-      finishInst = m.finishInst;
-    } else {
-      SwBurstModel m{{cycle, end, lastProgress, busyUntil, 0, clampAtEnd}};
-      rs = state_.runSuper(m);
-      cycle = m.clk.cycle;
-      lastProgress = m.clk.lastProgress;
-      busyUntil = m.clk.busyUntil;
-      busyCycles += m.clk.busyCycles;
-      finishInst = m.finishInst;
-    }
+    const BurstClock clk{cycle, end, lastProgress, busyUntil, 0, clampAtEnd};
+    SwCost sw;
+    return isHW_ ? runBurst(hw_, clk, cycle, lastProgress)
+                 : runBurst(sw, clk, cycle, lastProgress);
+  }
+
+private:
+  template <class Cost>
+  SuperRunStatus runBurst(Cost& cost, const BurstClock& clk, uint64_t& cycle,
+                          uint64_t& lastProgress) {
+    BurstModel<Cost> m{clk, cost};
+    const SuperRunStatus rs = state_.runSuper(m);
+    cycle = m.clk.cycle;
+    lastProgress = m.clk.lastProgress;
+    busyUntil = m.clk.busyUntil;
+    busyCycles += m.clk.busyCycles;
     if (rs == SuperRunStatus::kFinished) {
       dead = true;
-      last = {StepStatus::Finished, finishInst->op, finishInst};
+      last = {StepStatus::Finished, m.finishInst->op, m.finishInst};
     } else if (rs == SuperRunStatus::kTrapped) {
       dead = true;
       last = {StepStatus::Trapped, Opcode::Add, nullptr};
@@ -335,7 +353,6 @@ public:
     return rs;
   }
 
-private:
   uint64_t chargeFor(const StepResult& r, uint64_t now) {
     const DecodedInst* d = r.dinst;
     if (!d) return 0;
@@ -345,63 +362,13 @@ private:
       case Opcode::SemRaise:
       case Opcode::SemLower: {
         ++queueOps;
-        unsigned c = port_ ? port_->lastCost : 1;
-        // In modulo-scheduled steady state a hardware thread overlaps the
-        // handshake with compute; only bus contention remains exposed.
-        if (isHW_ && pipelinedMode_ && c >= RuntimeTiming::kQueueOp)
-          c -= RuntimeTiming::kQueueOp - 1;
-        return c;
+        const unsigned c = port_ ? port_->lastCost : 1;
+        return isHW_ ? hw_.channelOp(c) : SwCost::channelOp(c);
       }
       default:
-        break;
-    }
-    if (!isHW_) return d->swCost;
-
-    // Hardware: per-block FSM cost charged on the terminator; memory ops
-    // dynamically against the memory bus; everything else is covered by the
-    // block's static state count. Blocks re-executing back-to-back run in
-    // modulo-scheduled steady state and cost their initiation interval.
-    switch (r.op) {
-      case Opcode::Load:
-      case Opcode::Store: {
-        unsigned handshake = r.op == Opcode::Load ? RuntimeTiming::kMemRead
-                                                  : RuntimeTiming::kMemWrite;
-        if (pipelinedMode_) handshake = 0;  // overlapped with compute
-        if (fabric_) {
-          // Twill: the single shared memory bus (§4.1).
-          uint64_t grant = fabric_->memoryBus().acquire(now);
-          return (grant - now) + handshake;
-        }
-        // Pure hardware: LegUp's dual-port block memories still bound the
-        // number of accesses per cycle.
-        uint64_t grant = localMem_.acquire(now);
-        return (grant - now) + handshake;
-      }
-      case Opcode::Br:
-      case Opcode::CondBr:
-      case Opcode::Ret: {
-        // Steady state: this block ran within the last two control
-        // transfers (covers self-loops and header/body two-block loops).
-        pipelinedMode_ = (d->blockUid == prevBlock1_ || d->blockUid == prevBlock2_);
-        prevBlock2_ = prevBlock1_;
-        prevBlock1_ = d->blockUid;
-        if (!(d->flags & DecodedInst::kHasSchedule)) return 1;
-        return pipelinedMode_ ? d->hlsII : d->hlsStatic;
-      }
-      case Opcode::Call:
-        pipelinedMode_ = false;
-        prevBlock1_ = prevBlock2_ = kNoBlock;
-        return 1;
-      default:
-        return 0;  // absorbed into the block's static cycles
+        return isHW_ ? hw_.inst(*d, now) : SwCost::inst(*d, now);
     }
   }
-
-  static constexpr uint32_t kNoBlock = 0xFFFFFFFFu;
-  uint32_t prevBlock1_ = kNoBlock;
-  uint32_t prevBlock2_ = kNoBlock;
-  bool pipelinedMode_ = false;
-  PortModel localMem_{2};  // dual-port BRAM for the pure-HW flow
 
   TraceRecorder* trace_ = nullptr;
   TraceRecorder::StrId traceCat_ = TraceRecorder::kNoStr;
@@ -415,6 +382,7 @@ private:
   ExecState state_;
   Fabric* fabric_;
   bool isHW_;
+  HwCost hw_;  // the hardware policy's state (unused by software threads)
   uint32_t token_;
 };
 
@@ -493,6 +461,61 @@ bool runPureLoop(SimThread& t, const SimConfig& cfg, bool& wallBreach) {
     }
   }
   return true;
+}
+
+/// Body of both baselines: the original module as one context, on the
+/// Microblaze model, or — given `schedules` — as one hardware FSM with its
+/// own block memories.
+SimOutcome simulatePure(Module& m, const ScheduleMap* schedules, const SimConfig& cfg) {
+  SimOutcome out;
+  const bool isHW = schedules != nullptr;
+  Function* main = m.findFunction("main");
+  if (!main) {
+    out.message = "no main";
+    return out;
+  }
+  Memory mem(cfg.memoryBytes);
+  Layout layout;
+  if (!layout.build(m, mem)) {
+    out.message = layout.error;
+    out.resourceBreach = true;
+    return out;
+  }
+  DecodedProgram prog(m, layout, schedules);
+  // The token doubles as the trace row id; without a fabric it has no other
+  // use, so the baseline rows get fixed ids clear of Twill thread tokens.
+  const uint32_t token = isHW ? 1001 : 1000;
+  SimThread t(prog, mem, nullptr, main, isHW, token);
+  bool wallBreach = false;
+  // The baselines run a single context on a dedicated trace row; a whole-run
+  // span (in cycles) is emitted on every exit path by the closer below.
+  if (cfg.trace) {
+    cfg.trace->setProcessName(kTracePidSim, "sim (cycles)");
+    cfg.trace->setThreadName(kTracePidSim, token, isHW ? "pure-HW" : "pure-SW");
+    t.setTrace(cfg.trace, cfg.trace->intern("thread"), cfg.trace->intern("stall"),
+               cfg.trace->intern("run"));
+  }
+  struct Closer {
+    SimThread& t;
+    ~Closer() { t.closeTrace(t.busyUntil); }
+  } closer{t};
+  if (!runPureLoop(t, cfg, wallBreach)) {
+    out.resourceBreach = wallBreach;
+    out.message = wallBreach ? "wall-clock budget exceeded (" +
+                                   std::to_string(cfg.wallBudgetMs) + " ms)"
+                             : "cycle limit exceeded";
+    return out;
+  }
+  if (t.trapped()) {
+    out.message = "trap: " + t.trapMessage();
+    return out;
+  }
+  out.ok = true;
+  out.result = t.result();
+  out.cycles = t.busyUntil;
+  (isHW ? out.retiredHW : out.retiredSW) = t.retired();
+  (isHW ? out.hwBusy : out.cpuBusy) = t.busyCycles;
+  return out;
 }
 
 }  // namespace
@@ -1005,6 +1028,12 @@ SimOutcome simulateTwill(Module& m, const DswpResult& dswp, const SimConfig& cfg
       }
     }
   }
+  // The loop leaves as soon as the main master finishes; its last op may
+  // still retire past the limit.
+  if (mainThread->busyUntil > cfg.maxCycles) {
+    out.message = "cycle limit exceeded";
+    return out;
+  }
 
   out.ok = true;
   out.result = mainThread->result();
@@ -1025,99 +1054,11 @@ SimOutcome simulateTwill(Module& m, const DswpResult& dswp, const SimConfig& cfg
 }
 
 SimOutcome simulatePureSW(Module& m, const SimConfig& cfg) {
-  SimOutcome out;
-  Function* main = m.findFunction("main");
-  if (!main) {
-    out.message = "no main";
-    return out;
-  }
-  Memory mem(cfg.memoryBytes);
-  Layout layout;
-  if (!layout.build(m, mem)) {
-    out.message = layout.error;
-    out.resourceBreach = true;
-    return out;
-  }
-  DecodedProgram prog(m, layout);
-  // The token doubles as the trace row id; without a fabric it has no other
-  // use, so the baseline rows get fixed ids clear of Twill thread tokens.
-  SimThread t(prog, mem, nullptr, main, /*isHW=*/false, /*token=*/1000);
-  bool wallBreach = false;
-  // The baselines run a single context on a dedicated trace row; a whole-run
-  // span (in cycles) is emitted on every exit path by the closer below.
-  if (cfg.trace) {
-    cfg.trace->setProcessName(kTracePidSim, "sim (cycles)");
-    cfg.trace->setThreadName(kTracePidSim, 1000, "pure-SW");
-    t.setTrace(cfg.trace, cfg.trace->intern("thread"), cfg.trace->intern("stall"),
-               cfg.trace->intern("run"));
-  }
-  struct Closer {
-    SimThread& t;
-    ~Closer() { t.closeTrace(t.busyUntil); }
-  } closer{t};
-  if (!runPureLoop(t, cfg, wallBreach)) {
-    out.resourceBreach = wallBreach;
-    out.message = wallBreach ? "wall-clock budget exceeded (" +
-                                   std::to_string(cfg.wallBudgetMs) + " ms)"
-                             : "cycle limit exceeded";
-    return out;
-  }
-  if (t.trapped()) {
-    out.message = "trap: " + t.trapMessage();
-    return out;
-  }
-  out.ok = true;
-  out.result = t.result();
-  out.cycles = t.busyUntil;
-  out.retiredSW = t.retired();
-  out.cpuBusy = t.busyCycles;
-  return out;
+  return simulatePure(m, nullptr, cfg);
 }
 
 SimOutcome simulatePureHW(Module& m, const ScheduleMap& schedules, const SimConfig& cfg) {
-  SimOutcome out;
-  Function* main = m.findFunction("main");
-  if (!main) {
-    out.message = "no main";
-    return out;
-  }
-  Memory mem(cfg.memoryBytes);
-  Layout layout;
-  if (!layout.build(m, mem)) {
-    out.message = layout.error;
-    out.resourceBreach = true;
-    return out;
-  }
-  DecodedProgram prog(m, layout, &schedules);
-  SimThread t(prog, mem, nullptr, main, /*isHW=*/true, /*token=*/1001);
-  bool wallBreach = false;
-  if (cfg.trace) {
-    cfg.trace->setProcessName(kTracePidSim, "sim (cycles)");
-    cfg.trace->setThreadName(kTracePidSim, 1001, "pure-HW");
-    t.setTrace(cfg.trace, cfg.trace->intern("thread"), cfg.trace->intern("stall"),
-               cfg.trace->intern("run"));
-  }
-  struct Closer {
-    SimThread& t;
-    ~Closer() { t.closeTrace(t.busyUntil); }
-  } closer{t};
-  if (!runPureLoop(t, cfg, wallBreach)) {
-    out.resourceBreach = wallBreach;
-    out.message = wallBreach ? "wall-clock budget exceeded (" +
-                                   std::to_string(cfg.wallBudgetMs) + " ms)"
-                             : "cycle limit exceeded";
-    return out;
-  }
-  if (t.trapped()) {
-    out.message = "trap: " + t.trapMessage();
-    return out;
-  }
-  out.ok = true;
-  out.result = t.result();
-  out.cycles = t.busyUntil;
-  out.retiredHW = t.retired();
-  out.hwBusy = t.busyCycles;
-  return out;
+  return simulatePure(m, &schedules, cfg);
 }
 
 }  // namespace twill

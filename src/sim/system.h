@@ -36,6 +36,9 @@ struct SimConfig {
   /// processors"; the thesis evaluates with one). Software threads are
   /// distributed round-robin; the main master stays on processor 0.
   unsigned numProcessors = 1;
+  /// Cycle limit: a flow succeeds only if its cycle count
+  /// (SimOutcome::cycles) is at most this; beyond it the flow fails with
+  /// "cycle limit exceeded".
   uint64_t maxCycles = 1ull << 40;
   uint64_t deadlockWindow = 4u << 20;  // no-progress cycles before aborting
   /// Simulated-memory ceiling. A module whose globals/stack do not fit is a

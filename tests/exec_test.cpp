@@ -3,19 +3,23 @@
 // The superblock trace runner (src/exec/superblock.h) and the per-inst
 // decoded ExecState (src/exec/decoded.h) both replaced the tree-walking
 // interpreter; RefExecState (src/ir/interp.h) is kept as the independent
-// golden reference. These tests pin all three together — results and
-// retired-instruction counts must match on every CHStone kernel and on a
-// frontend torture battery, whole-trace and under budget-stop/resume — pin
+// golden reference. These tests pin all three together through
+// runDifferential (src/fuzz/differential.h) — results and retired-
+// instruction counts must match on every CHStone kernel and on a frontend
+// torture battery, whole-trace and under budget-stop/resume — pin
 // the superblock pipeline (channel ops mid-trace) against a RefExecState
 // replica of the burst scheduler, and pin the cycle-level counters of every
 // simulator flow to golden values recorded before the event-driven
 // scheduler landed, so engine rewrites cannot silently shift timing.
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "src/chstone/kernels.h"
 #include "src/driver/driver.h"
 #include "src/exec/superblock.h"
 #include "src/frontend/lower.h"
+#include "src/fuzz/differential.h"
 #include "src/ir/builder.h"
 #include "src/ir/interp.h"
 #include "src/ir/verifier.h"
@@ -44,86 +48,13 @@ RefRun runReference(Module& m) {
   return {st.result(), st.retired()};
 }
 
-/// Runs `main` on the pre-decoded engine.
-RefRun runDecoded(Module& m) {
-  Memory mem;
-  Layout lay;
-  lay.build(m, mem);
-  DecodedProgram prog(m, lay);
-  FunctionalChannels chans;
-  ExecState st(prog, mem, chans, m.findFunction("main"));
-  StepResult r{};
-  for (uint64_t guard = 0; guard < (1ull << 32); ++guard) {
-    r = st.step();
-    if (r.status != StepStatus::Ran) break;
-  }
-  EXPECT_EQ(r.status, StepStatus::Finished) << st.trapMessage();
-  return {st.result(), st.retired()};
-}
-
-/// Runs `main` on the superblock trace runner. A small `budgetPerCall`
-/// forces a budget stop/resume at every op boundary, exercising the
-/// kBudget write-back paths the schedulers rely on.
-RefRun runSuperblock(Module& m, uint64_t budgetPerCall = UINT64_MAX) {
-  Memory mem;
-  Layout lay;
-  lay.build(m, mem);
-  DecodedProgram prog(m, lay);
-  FunctionalChannels chans;
-  ExecState st(prog, mem, chans, m.findFunction("main"));
-  for (uint64_t guard = 0; guard < (1ull << 32); ++guard) {
-    FunctionalSuperModel model{budgetPerCall};
-    switch (st.runSuper(model)) {
-      case SuperRunStatus::kFinished:
-        return {st.result(), st.retired()};
-      case SuperRunStatus::kTrapped:
-        ADD_FAILURE() << "superblock trap: " << st.trapMessage();
-        return {};
-      case SuperRunStatus::kNeedStep: {
-        StepResult r = st.step();
-        if (r.status == StepStatus::Finished) return {st.result(), st.retired()};
-        if (r.status != StepStatus::Ran) {
-          ADD_FAILURE() << "superblock slow-path status " << static_cast<int>(r.status);
-          return {};
-        }
-        break;
-      }
-      case SuperRunStatus::kBudget:
-        break;  // resume
-    }
-  }
-  ADD_FAILURE() << "superblock run did not finish";
-  return {};
-}
-
-void expectEnginesAgree(const std::string& source, const char* label) {
-  Module mr;
-  DiagEngine d1;
-  ASSERT_TRUE(compileC(source, mr, d1)) << label << "\n" << d1.str();
-  runDefaultPipeline(mr);
-  RefRun ref = runReference(mr);
-
-  Module md;
-  DiagEngine d2;
-  ASSERT_TRUE(compileC(source, md, d2)) << label;
-  runDefaultPipeline(md);
-  RefRun dec = runDecoded(md);
-
-  EXPECT_EQ(dec.result, ref.result) << label;
-  EXPECT_EQ(dec.retired, ref.retired) << label;
-
-  // The superblock tier must agree in one whole-program trace...
-  RefRun sup = runSuperblock(md);
-  EXPECT_EQ(sup.result, ref.result) << label;
-  EXPECT_EQ(sup.retired, ref.retired) << label;
-  // ...and when the cost model stops the run every three attempts.
-  RefRun res = runSuperblock(md, 3);
-  EXPECT_EQ(res.result, ref.result) << label;
-  EXPECT_EQ(res.retired, ref.retired) << label;
-}
-
+// Both batteries run every engine through runDifferential and require main
+// to return: a trap shared by every engine fails them too.
 TEST(ExecEquivalenceTest, ChstoneKernelsMatchReference) {
-  for (const auto& k : chstoneKernels()) expectEnginesAgree(k.source, k.name);
+  for (const auto& k : chstoneKernels()) {
+    const DifferentialResult r = runDifferential(k.source);
+    EXPECT_TRUE(r.compiled && r.agree && r.finished) << k.name << "\n" << r.detail;
+  }
 }
 
 // Frontend torture battery: precedence, signedness, width narrowing,
@@ -154,9 +85,9 @@ TEST(ExecEquivalenceTest, TorturePrograms) {
       "  while (++i < 23); return r; }",
       "int main(void) { int x = 5; int* p = &x; *p = 9; return x + *p; }",
   };
-  int idx = 0;
-  for (const char* src : programs) {
-    expectEnginesAgree(src, ("torture#" + std::to_string(idx++)).c_str());
+  for (size_t i = 0; i < std::size(programs); ++i) {
+    const DifferentialResult r = runDifferential(programs[i]);
+    EXPECT_TRUE(r.compiled && r.agree && r.finished) << "torture#" << i << "\n" << r.detail;
   }
 }
 
@@ -530,24 +461,27 @@ TEST(TwillSimGoldenTest, CountersMatchPreSchedulerSimulator) {
   }
 }
 
-// Pure-SW / pure-HW baseline cycles, pinned on the superblock tier (both
+// Pure-SW / pure-HW baseline counters, pinned on the superblock tier (both
 // executors now run whole traces through it; values recorded from the
-// per-inst engine, which they must reproduce bit for bit).
+// per-inst engine, which they must reproduce bit for bit). The busy and
+// retired columns come from flows.sw/flows.hw of the committed bench
+// baseline; busy cycles can trail the cycle count (jpeg's pure-SW run).
 struct PureGolden {
   const char* name;
   uint32_t result;
-  uint64_t swCycles, hwCycles;
+  uint64_t swCycles, cpuBusy, hwCycles, hwBusy;
+  uint64_t retired;  // same module on both flows: retiredSW == retiredHW
 };
 
 constexpr PureGolden kPureGoldens[] = {
-    {"mips", 531892058u, 222525, 78639},
-    {"adpcm", 454751737u, 104047, 53000},
-    {"aes", 1703749786u, 173485, 53885},
-    {"blowfish", 2101464826u, 1089609, 287335},
-    {"gsm", 401153065u, 499236, 91871},
-    {"jpeg", 489179844u, 92752, 21758},
-    {"mpeg2", 111004674u, 156707, 51142},
-    {"sha", 1847330246u, 177413, 41323},
+    {"mips", 531892058u, 222525, 222525, 78639, 45471, 56489},
+    {"adpcm", 454751737u, 104047, 104047, 53000, 39045, 25843},
+    {"aes", 1703749786u, 173485, 173485, 53885, 16288, 45086},
+    {"blowfish", 2101464826u, 1089609, 1089609, 287335, 37573, 274459},
+    {"gsm", 401153065u, 499236, 499236, 91871, 31815, 74232},
+    {"jpeg", 489179844u, 92752, 92748, 21758, 9832, 15706},
+    {"mpeg2", 111004674u, 156707, 156707, 51142, 30080, 34671},
+    {"sha", 1847330246u, 177413, 177413, 41323, 11789, 36764},
 };
 
 TEST(PureSimGoldenTest, BaselineCyclesMatchPerInstEngine) {
@@ -562,12 +496,48 @@ TEST(PureSimGoldenTest, BaselineCyclesMatchPerInstEngine) {
     ASSERT_TRUE(sw.ok) << g.name << ": " << sw.message;
     EXPECT_EQ(sw.result, g.result) << g.name;
     EXPECT_EQ(sw.cycles, g.swCycles) << g.name;
+    EXPECT_EQ(sw.retiredSW, g.retired) << g.name;
+    EXPECT_EQ(sw.cpuBusy, g.cpuBusy) << g.name;
     ScheduleMap sched = scheduleModule(m);
     SimOutcome hw = simulatePureHW(m, sched);
     ASSERT_TRUE(hw.ok) << g.name << ": " << hw.message;
     EXPECT_EQ(hw.result, g.result) << g.name;
     EXPECT_EQ(hw.cycles, g.hwCycles) << g.name;
+    EXPECT_EQ(hw.retiredHW, g.retired) << g.name;
+    EXPECT_EQ(hw.hwBusy, g.hwBusy) << g.name;
   }
+}
+
+// SimConfig::maxCycles is inclusive on every flow: a run whose cycle count
+// equals the limit succeeds, and one cycle less fails.
+TEST(SimCycleLimitTest, EveryFlowSucceedsExactlyAtTheLimit) {
+  const TwillGolden& tg = kTwillGoldens[0];
+  const PureGolden& pg = kPureGoldens[0];
+  ASSERT_STREQ(tg.name, "mips");
+  ASSERT_STREQ(pg.name, "mips");
+  Module m;
+  DiagEngine diag;
+  ASSERT_TRUE(compileC(findKernel("mips")->source, m, diag)) << diag.str();
+  runDefaultPipeline(m, 100);
+  auto expectLimit = [](const char* flow, uint64_t cycles, auto run) {
+    SimConfig cfg;
+    cfg.maxCycles = cycles;
+    const SimOutcome at = run(cfg);
+    EXPECT_TRUE(at.ok) << flow << ": " << at.message;
+    EXPECT_EQ(at.cycles, cycles) << flow;
+    cfg.maxCycles = cycles - 1;
+    const SimOutcome below = run(cfg);
+    EXPECT_FALSE(below.ok) << flow << ": cycles " << below.cycles;
+    EXPECT_EQ(below.message, "cycle limit exceeded") << flow;
+  };
+  expectLimit("pure-SW", pg.swCycles, [&](const SimConfig& c) { return simulatePureSW(m, c); });
+  const ScheduleMap baseSched = scheduleModule(m);
+  expectLimit("pure-HW", pg.hwCycles,
+              [&](const SimConfig& c) { return simulatePureHW(m, baseSched, c); });
+  const DswpResult dswp = runDswp(m, {});
+  const ScheduleMap sched = scheduleModule(m);
+  expectLimit("twill", tg.cycles,
+              [&](const SimConfig& c) { return simulateTwill(m, dswp, c, sched); });
 }
 
 }  // namespace

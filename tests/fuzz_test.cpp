@@ -63,11 +63,14 @@ TEST(DifferentialTest, EnginesAgreeOnTwoHundredGeneratedPrograms) {
 TEST(DifferentialTest, AgreesOnTrappingPrograms) {
   // The property must hold for trapping programs too: identical trap
   // message and retired count on every engine (shared
-  // memOutOfRangeMessage), not just identical results on clean runs.
-  const char* kTrap = "int a[4]; int main() { a[1000000] = 5; return a[0]; }";
+  // memOutOfRangeMessage), not just identical results on clean runs. The
+  // store lands 8 MB out, past the 4 MiB default memory.
+  const char* kTrap = "int a[4]; int main() { a[2000000] = 5; return a[0]; }";
   DifferentialResult r = runDifferential(kTrap);
   ASSERT_TRUE(r.compiled) << r.detail;
   EXPECT_TRUE(r.agree) << r.detail;
+  EXPECT_FALSE(r.finished) << "the program must trap";
+  EXPECT_NE(r.detail.find("memory access out of range"), std::string::npos) << r.detail;
 }
 
 // --- corpus replay ---------------------------------------------------------

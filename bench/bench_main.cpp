@@ -131,20 +131,18 @@ double median(std::vector<double> v) {
 /// mismatching run) when `out` is given (null = pure timing pass; the
 /// `--repeat` reruns must measure exactly the workload the recorded sweep
 /// measured).
-void runSweep(BenchmarkReport& rep, SimProgram& prog, const std::vector<unsigned>& values,
+void runSweep(const BenchmarkReport& rep, SimProgram& prog, const std::vector<unsigned>& values,
               bool isLatency, std::vector<uint64_t>* out) {
-  TwillArtifacts& art = *rep.twillArtifacts;
+  const TwillArtifacts& art = *rep.twillArtifacts;
   for (unsigned v : values) {
     SimConfig sc;
     if (isLatency)
       sc.queueLatency = v;
     else
       sc.queueCapacity = v;
-    const SimOutcome o = simulateTwill(*art.module, art.dswp, sc, art.schedules, &prog);
-    const bool ok = o.ok && o.result == rep.expected;
-    if (!ok)
-      std::fprintf(stderr, "%s: twill sim failed: %s\n", rep.name.c_str(), o.message.c_str());
-    if (out != nullptr) out->push_back(ok ? o.cycles : 0);
+    const BenchmarkReport r = resimulateTwill(rep, art, prog, sc, ResourceLimits{});
+    if (!r.ok) std::fprintf(stderr, "%s: %s\n", rep.name.c_str(), r.error.c_str());
+    if (out != nullptr) out->push_back(r.ok ? r.twill.cycles : 0);
   }
 }
 

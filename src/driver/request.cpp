@@ -1,8 +1,13 @@
 #include "src/driver/request.h"
 
-#include <climits>
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <type_traits>
+#include <variant>
 
 #include "src/chstone/kernels.h"
 #include "src/support/json.h"
@@ -10,183 +15,180 @@
 namespace twill {
 namespace {
 
+/// How a knob's value maps onto its DriverOptions field.
+enum KnobKind : uint8_t {
+  kBool,      // JSON boolean
+  kCount,     // unsigned integer in [lo, hi], stored as is
+  kFraction,  // number in [lo, hi]
+  kMiB,       // unsigned integer in [lo, hi] MiB, stored in bytes
+  kMs,        // unsigned integer in [lo, hi] milliseconds, stored as a double
+};
+
+/// Typed pointer to the DriverOptions field a knob sets.
+using KnobField = std::variant<bool*, uint32_t*, uint64_t*, double*>;
+
+/// One knob of the v1 document: the field `group.key`.
+struct Knob {
+  const char* group;
+  const char* key;
+  KnobKind kind;
+  uint64_t lo, hi;  // accepted range
+  /// A Twill-only sim axis: compileCacheKey leaves it out, so requests that
+  /// differ only here re-simulate one compile's kept artifacts.
+  bool simAxis;
+  /// twillc takes it as the flag of the same name: `--queue-capacity` for
+  /// key "queue_capacity".
+  bool flag;
+  KnobField (*field)(DriverOptions&);
+};
+
+constexpr uint64_t kU32 = UINT32_MAX;
+constexpr uint64_t kU64 = UINT64_MAX;
+
+/// Every knob of the document, in document order. The parser, both cache
+/// keys and twillc's valued flags loop over these rows, so a new knob is one
+/// row and cannot reach the document without reaching the keys.
+// clang-format off
+const Knob kKnobs[] = {
+    // group     key                      kind       lo  hi     sim axis  flag
+    {"flows",   "sw",                    kBool,     0,  1,     false,    false,
+     [](DriverOptions& o) -> KnobField { return &o.runPureSW; }},
+    {"flows",   "hw",                    kBool,     0,  1,     false,    false,
+     [](DriverOptions& o) -> KnobField { return &o.runPureHW; }},
+    {"flows",   "twill",                 kBool,     0,  1,     false,    false,
+     [](DriverOptions& o) -> KnobField { return &o.runTwill; }},
+    {"compile", "inline_threshold",      kCount,    0,  kU32,  false,    true,
+     [](DriverOptions& o) -> KnobField { return &o.inlineThreshold; }},
+    {"compile", "partitions",            kCount,    0,  kU32,  false,    true,
+     [](DriverOptions& o) -> KnobField { return &o.dswp.numPartitions; }},
+    {"compile", "max_partitions",        kCount,    1,  kU32,  false,    true,
+     [](DriverOptions& o) -> KnobField { return &o.dswp.maxPartitions; }},
+    {"compile", "min_instructions",      kCount,    0,  kU32,  false,    true,
+     [](DriverOptions& o) -> KnobField { return &o.dswp.minInstructions; }},
+    {"compile", "sw_fraction",           kFraction, 0,  1,     false,    true,
+     [](DriverOptions& o) -> KnobField { return &o.dswp.swFraction; }},
+    {"sim",     "queue_capacity",        kCount,    1,  kU32,  true,     true,
+     [](DriverOptions& o) -> KnobField { return &o.sim.queueCapacity; }},
+    {"sim",     "queue_latency",         kCount,    0,  kU32,  true,     true,
+     [](DriverOptions& o) -> KnobField { return &o.sim.queueLatency; }},
+    {"sim",     "processors",            kCount,    1,  kU32,  true,     true,
+     [](DriverOptions& o) -> KnobField { return &o.sim.numProcessors; }},
+    {"sim",     "sched_quantum",         kCount,    0,  kU32,  true,     true,
+     [](DriverOptions& o) -> KnobField { return &o.sim.schedQuantum; }},
+    // The pure flows read maxCycles (sim/system.cpp runPureLoop), so it is a
+    // compile-group axis, not a Twill-only one.
+    {"sim",     "max_cycles",            kCount,    1,  kU64,  false,    true,
+     [](DriverOptions& o) -> KnobField { return &o.sim.maxCycles; }},
+    {"hls",     "max_chain_depth",       kCount,    1,  kU32,  false,    false,
+     [](DriverOptions& o) -> KnobField { return &o.hls.maxChainDepth; }},
+    {"hls",     "mem_ports_per_state",   kCount,    1,  kU32,  false,    false,
+     [](DriverOptions& o) -> KnobField { return &o.hls.memPortsPerState; }},
+    {"hls",     "queue_ports_per_state", kCount,    1,  kU32,  false,    false,
+     [](DriverOptions& o) -> KnobField { return &o.hls.queuePortsPerState; }},
+    {"hls",     "multipliers_per_state", kCount,    1,  kU32,  false,    false,
+     [](DriverOptions& o) -> KnobField { return &o.hls.multipliersPerState; }},
+    {"hls",     "dividers_per_state",    kCount,    1,  kU32,  false,    false,
+     [](DriverOptions& o) -> KnobField { return &o.hls.dividersPerState; }},
+    {"verify",  "partition",             kBool,     0,  1,     false,    false,
+     [](DriverOptions& o) -> KnobField { return &o.verifyPartition; }},
+    {"verify",  "only",                  kBool,     0,  1,     false,    false,
+     [](DriverOptions& o) -> KnobField { return &o.verifyOnly; }},
+    {"verify",  "unseed_semaphores",     kBool,     0,  1,     false,    false,
+     [](DriverOptions& o) -> KnobField { return &o.unseedSemaphores; }},
+    {"limits",  "timeout_ms",            kMs,       0,  kU32,  false,    true,
+     [](DriverOptions& o) -> KnobField { return &o.limits.stageTimeoutMs; }},
+    {"limits",  "max_memory_mb",         kMiB,      1,  2048,  false,    true,
+     [](DriverOptions& o) -> KnobField { return &o.limits.memLimitBytes; }},
+    {"limits",  "max_tokens",            kCount,    1,  kU64,  false,    false,
+     [](DriverOptions& o) -> KnobField { return &o.limits.maxTokens; }},
+    {"limits",  "max_ast_nodes",         kCount,    1,  kU64,  false,    false,
+     [](DriverOptions& o) -> KnobField { return &o.limits.maxAstNodes; }},
+    {"limits",  "max_nesting_depth",     kCount,    1,  kU32,  false,    false,
+     [](DriverOptions& o) -> KnobField { return &o.limits.maxNestingDepth; }},
+    {"limits",  "max_ir_instructions",   kCount,    1,  kU64,  false,    false,
+     [](DriverOptions& o) -> KnobField { return &o.limits.maxIrInstructions; }},
+    {"limits",  "max_interp_steps",      kCount,    1,  kU64,  false,    false,
+     [](DriverOptions& o) -> KnobField { return &o.limits.maxInterpSteps; }},
+};
+// clang-format on
+
 bool failField(std::string& error, const std::string& field, const char* what) {
   error = "field '" + field + "': " + what;
   return false;
 }
 
-bool wantBool(const JsonValue& v, const std::string& field, bool& out, std::string& error) {
-  if (!v.isBool()) return failField(error, field, "expected a boolean");
-  out = v.asBool();
-  return true;
-}
-
-bool wantUnsigned(const JsonValue& v, const std::string& field, uint64_t minV, uint64_t maxV,
-                  uint64_t& out, std::string& error) {
-  if (!v.isUnsigned()) return failField(error, field, "expected an unsigned integer");
-  if (v.asUnsigned() < minV || v.asUnsigned() > maxV) {
-    error = "field '" + field + "': value " + std::to_string(v.asUnsigned()) +
-            " out of range [" + std::to_string(minV) + ", " + std::to_string(maxV) + "]";
-    return false;
+const char* expectedValue(KnobKind kind) {
+  switch (kind) {
+    case kBool: return "a boolean";
+    case kFraction: return "a number in [0, 1]";
+    default: return "an unsigned integer";
   }
-  out = v.asUnsigned();
-  return true;
 }
 
-bool wantU32(const JsonValue& v, const std::string& field, uint64_t minV, uint64_t maxV,
-             unsigned& out, std::string& error) {
-  uint64_t u;
-  if (!wantUnsigned(v, field, minV, maxV, u, error)) return false;
-  out = static_cast<unsigned>(u);
-  return true;
-}
-
-/// One nested knob group: checks it is an object and applies `member` to
-/// every key/value pair; `member` rejects unknown keys.
-template <typename Fn>
-bool parseGroup(const JsonValue& v, const std::string& group, Fn member, std::string& error) {
-  if (!v.isObject()) return failField(error, group, "expected an object");
-  for (const auto& [key, val] : v.members()) {
-    if (!member(key, val)) {
-      if (error.empty()) error = "field '" + group + "." + key + "': unknown field";
+/// Range-checks a parsed value (`u` for kBool and the unsigned kinds, `f`
+/// for kFraction) and stores it. `what` names the value's origin in errors.
+bool storeKnob(const Knob& k, uint64_t u, double f, const std::string& what, DriverOptions& opts,
+               std::string& error) {
+  if (k.kind == kFraction) {
+    if (!(f >= static_cast<double>(k.lo) && f <= static_cast<double>(k.hi))) {
+      error = what + ": expected " + expectedValue(k.kind);
       return false;
     }
+  } else if (u < k.lo || u > k.hi) {
+    error = what + ": value " + std::to_string(u) + " out of range [" + std::to_string(k.lo) +
+            ", " + std::to_string(k.hi) + "]";
+    return false;
   }
+  std::visit(
+      [&](auto* p) {
+        using T = std::remove_pointer_t<decltype(p)>;
+        if constexpr (std::is_floating_point_v<T>)
+          *p = k.kind == kFraction ? f : static_cast<T>(u);
+        else
+          *p = static_cast<T>(k.kind == kMiB ? u << 20 : u);
+      },
+      k.field(opts));
   return true;
 }
 
-bool parseFlows(const JsonValue& v, DriverOptions& opts, std::string& error) {
-  return parseGroup(
-      v, "flows",
-      [&](const std::string& k, const JsonValue& val) {
-        if (k == "sw") return wantBool(val, "flows.sw", opts.runPureSW, error);
-        if (k == "hw") return wantBool(val, "flows.hw", opts.runPureHW, error);
-        if (k == "twill") return wantBool(val, "flows.twill", opts.runTwill, error);
-        return false;
-      },
-      error);
+/// Type-checks one document value (`what` is "field 'group.key'") and
+/// stores it.
+bool setFromJson(const Knob& k, const JsonValue& v, const std::string& what, DriverOptions& opts,
+                 std::string& error) {
+  switch (k.kind) {
+    case kBool:
+      if (v.isBool()) return storeKnob(k, v.asBool(), 0, what, opts, error);
+      break;
+    case kFraction:
+      if (v.isNumber()) return storeKnob(k, 0, v.asDouble(), what, opts, error);
+      break;
+    default:
+      if (v.isUnsigned()) return storeKnob(k, v.asUnsigned(), 0, what, opts, error);
+      break;
+  }
+  error = what + ": expected " + expectedValue(k.kind);
+  return false;
 }
 
-bool parseCompile(const JsonValue& v, DriverOptions& opts, std::string& error) {
-  return parseGroup(
-      v, "compile",
-      [&](const std::string& k, const JsonValue& val) {
-        if (k == "inline_threshold")
-          return wantU32(val, "compile.inline_threshold", 0, UINT_MAX, opts.inlineThreshold,
-                         error);
-        if (k == "partitions")
-          return wantU32(val, "compile.partitions", 0, UINT_MAX, opts.dswp.numPartitions, error);
-        if (k == "max_partitions")
-          return wantU32(val, "compile.max_partitions", 1, UINT_MAX, opts.dswp.maxPartitions,
-                         error);
-        if (k == "min_instructions")
-          return wantU32(val, "compile.min_instructions", 0, UINT_MAX,
-                         opts.dswp.minInstructions, error);
-        if (k == "sw_fraction") {
-          if (!val.isNumber() || val.asDouble() < 0.0 || val.asDouble() > 1.0)
-            return failField(error, "compile.sw_fraction", "expected a number in [0, 1]");
-          opts.dswp.swFraction = val.asDouble();
-          return true;
-        }
-        return false;
-      },
-      error);
+bool isKnobGroup(const std::string& group) {
+  for (const Knob& k : kKnobs)
+    if (group == k.group) return true;
+  return false;
 }
 
-bool parseSim(const JsonValue& v, DriverOptions& opts, std::string& error) {
-  return parseGroup(
-      v, "sim",
-      [&](const std::string& k, const JsonValue& val) {
-        if (k == "queue_capacity")
-          return wantU32(val, "sim.queue_capacity", 1, UINT_MAX, opts.sim.queueCapacity, error);
-        if (k == "queue_latency")
-          return wantU32(val, "sim.queue_latency", 0, UINT_MAX, opts.sim.queueLatency, error);
-        if (k == "processors")
-          return wantU32(val, "sim.processors", 1, UINT_MAX, opts.sim.numProcessors, error);
-        if (k == "sched_quantum")
-          return wantU32(val, "sim.sched_quantum", 0, UINT_MAX, opts.sim.schedQuantum, error);
-        if (k == "max_cycles")
-          return wantUnsigned(val, "sim.max_cycles", 1, UINT64_MAX, opts.sim.maxCycles, error);
-        return false;
-      },
-      error);
-}
-
-bool parseHls(const JsonValue& v, DriverOptions& opts, std::string& error) {
-  return parseGroup(
-      v, "hls",
-      [&](const std::string& k, const JsonValue& val) {
-        if (k == "max_chain_depth")
-          return wantU32(val, "hls.max_chain_depth", 1, UINT_MAX, opts.hls.maxChainDepth, error);
-        if (k == "mem_ports_per_state")
-          return wantU32(val, "hls.mem_ports_per_state", 1, UINT_MAX,
-                         opts.hls.memPortsPerState, error);
-        if (k == "queue_ports_per_state")
-          return wantU32(val, "hls.queue_ports_per_state", 1, UINT_MAX,
-                         opts.hls.queuePortsPerState, error);
-        if (k == "multipliers_per_state")
-          return wantU32(val, "hls.multipliers_per_state", 1, UINT_MAX,
-                         opts.hls.multipliersPerState, error);
-        if (k == "dividers_per_state")
-          return wantU32(val, "hls.dividers_per_state", 1, UINT_MAX,
-                         opts.hls.dividersPerState, error);
-        return false;
-      },
-      error);
-}
-
-bool parseVerify(const JsonValue& v, DriverOptions& opts, std::string& error) {
-  return parseGroup(
-      v, "verify",
-      [&](const std::string& k, const JsonValue& val) {
-        if (k == "partition") return wantBool(val, "verify.partition", opts.verifyPartition, error);
-        if (k == "only") return wantBool(val, "verify.only", opts.verifyOnly, error);
-        if (k == "unseed_semaphores")
-          return wantBool(val, "verify.unseed_semaphores", opts.unseedSemaphores, error);
-        return false;
-      },
-      error);
-}
-
-bool parseLimits(const JsonValue& v, DriverOptions& opts, std::string& error) {
-  return parseGroup(
-      v, "limits",
-      [&](const std::string& k, const JsonValue& val) {
-        if (k == "timeout_ms") {
-          uint64_t ms;
-          if (!wantUnsigned(val, "limits.timeout_ms", 0, UINT_MAX, ms, error)) return false;
-          opts.limits.stageTimeoutMs = static_cast<double>(ms);
-          return true;
-        }
-        if (k == "max_memory_mb") {
-          // Same [1, 2048] MiB envelope twillc --max-memory-mb enforces.
-          uint64_t mb;
-          if (!wantUnsigned(val, "limits.max_memory_mb", 1, 2048, mb, error)) return false;
-          opts.limits.memLimitBytes = static_cast<uint32_t>(mb << 20);
-          return true;
-        }
-        if (k == "max_tokens")
-          return wantUnsigned(val, "limits.max_tokens", 1, UINT64_MAX, opts.limits.maxTokens,
-                              error);
-        if (k == "max_ast_nodes")
-          return wantUnsigned(val, "limits.max_ast_nodes", 1, UINT64_MAX,
-                              opts.limits.maxAstNodes, error);
-        if (k == "max_nesting_depth") {
-          uint64_t d;
-          if (!wantUnsigned(val, "limits.max_nesting_depth", 1, UINT32_MAX, d, error))
-            return false;
-          opts.limits.maxNestingDepth = static_cast<uint32_t>(d);
-          return true;
-        }
-        if (k == "max_ir_instructions")
-          return wantUnsigned(val, "limits.max_ir_instructions", 1, UINT64_MAX,
-                              opts.limits.maxIrInstructions, error);
-        if (k == "max_interp_steps")
-          return wantUnsigned(val, "limits.max_interp_steps", 1, UINT64_MAX,
-                              opts.limits.maxInterpSteps, error);
-        return false;
-      },
-      error);
+/// One nested knob group: checks it is an object and that every key is a
+/// row of the table.
+bool parseGroup(const JsonValue& v, const std::string& group, DriverOptions& opts,
+                std::string& error) {
+  if (!v.isObject()) return failField(error, group, "expected an object");
+  for (const auto& [key, val] : v.members()) {
+    const Knob* knob = nullptr;
+    for (const Knob& k : kKnobs)
+      if (group == k.group && key == k.key) knob = &k;
+    if (!knob) return failField(error, group + "." + key, "unknown field");
+    if (!setFromJson(*knob, val, "field '" + group + "." + key + "'", opts, error)) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -217,18 +219,8 @@ bool compileRequestFromJson(const JsonValue& doc, CompileRequest& out, std::stri
       if (!val.isString()) return failField(error, "kernel", "expected a string");
       out.kernel = val.asString();
       haveKernel = true;
-    } else if (key == "flows") {
-      if (!parseFlows(val, out.options, error)) return false;
-    } else if (key == "compile") {
-      if (!parseCompile(val, out.options, error)) return false;
-    } else if (key == "sim") {
-      if (!parseSim(val, out.options, error)) return false;
-    } else if (key == "hls") {
-      if (!parseHls(val, out.options, error)) return false;
-    } else if (key == "verify") {
-      if (!parseVerify(val, out.options, error)) return false;
-    } else if (key == "limits") {
-      if (!parseLimits(val, out.options, error)) return false;
+    } else if (isKnobGroup(key)) {
+      if (!parseGroup(val, key, out.options, error)) return false;
     } else {
       error = "field '" + key + "': unknown field";
       return false;
@@ -261,6 +253,36 @@ bool parseCompileRequest(const std::string& text, CompileRequest& out, std::stri
   return compileRequestFromJson(doc, out, error);
 }
 
+KnobFlag applyKnobFlag(const std::string& flag, const char* text, DriverOptions& opts,
+                       std::string& error) {
+  const Knob* knob = nullptr;
+  for (const Knob& k : kKnobs) {
+    std::string name = std::string("--") + k.key;
+    std::replace(name.begin(), name.end(), '_', '-');
+    if (k.flag && name == flag) knob = &k;
+  }
+  if (!knob) return KnobFlag::NotAKnob;
+  if (!text) {
+    error = flag + " requires a value";
+    return KnobFlag::BadValue;
+  }
+  // Plain decimal text: strtoull alone would skip blanks and wrap "-1".
+  // strtod's "nan" and "inf" parse, and fail storeKnob's range check.
+  uint64_t u = 0;
+  double f = 0;
+  char* end = nullptr;
+  errno = 0;
+  if (knob->kind == kFraction)
+    f = std::strtod(text, &end);
+  else if (std::isdigit(static_cast<unsigned char>(text[0])))
+    u = std::strtoull(text, &end, 10);
+  if (end == nullptr || end == text || *end != '\0' || errno == ERANGE) {
+    error = flag + ": expected " + expectedValue(knob->kind) + ", got '" + text + "'";
+    return KnobFlag::BadValue;
+  }
+  return storeKnob(*knob, u, f, flag, opts, error) ? KnobFlag::Set : KnobFlag::BadValue;
+}
+
 namespace {
 
 /// FNV-1a 64 over the source text. The cache stores the full source and
@@ -275,65 +297,48 @@ uint64_t fnv1a64(const std::string& s) {
   return h;
 }
 
-template <typename T>
-void appendKnob(std::string& key, const char* tag, T v) {
-  key += '|';
-  key += tag;
-  key += '=';
-  if constexpr (std::is_floating_point_v<T>) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    key += buf;
-  } else {
-    key += std::to_string(static_cast<uint64_t>(v));
+/// Appends the key terms (`|sim.queue_capacity=8`) of the knobs whose
+/// simAxis equals `simAxes`. A term carries the field's value, not the
+/// document's (bytes for max_memory_mb): twilld clamps the limits after
+/// parsing, to values no document spells.
+void appendKnobTerms(std::string& key, const DriverOptions& opts, bool simAxes) {
+  // The accessors only form a pointer; nothing is written through it here.
+  DriverOptions& o = const_cast<DriverOptions&>(opts);
+  for (const Knob& k : kKnobs) {
+    if (k.simAxis != simAxes) continue;
+    key += '|';
+    key += k.group;
+    key += '.';
+    key += k.key;
+    key += '=';
+    std::visit(
+        [&key](const auto* p) {
+          if constexpr (std::is_floating_point_v<std::remove_pointer_t<decltype(p)>>) {
+            char buf[32];
+            std::snprintf(buf, sizeof(buf), "%.17g", *p);
+            key += buf;
+          } else {
+            key += std::to_string(static_cast<uint64_t>(*p));
+          }
+        },
+        k.field(o));
   }
 }
 
 }  // namespace
 
 std::string compileCacheKey(const CompileRequest& req) {
-  const DriverOptions& o = req.options;
   char head[32];
   std::snprintf(head, sizeof(head), "v1|src=%016llx",
                 static_cast<unsigned long long>(fnv1a64(req.source)));
   std::string key = head;
-  appendKnob(key, "sw", static_cast<uint64_t>(o.runPureSW));
-  appendKnob(key, "hw", static_cast<uint64_t>(o.runPureHW));
-  appendKnob(key, "tw", static_cast<uint64_t>(o.runTwill));
-  appendKnob(key, "it", o.inlineThreshold);
-  appendKnob(key, "np", o.dswp.numPartitions);
-  appendKnob(key, "mp", o.dswp.maxPartitions);
-  appendKnob(key, "mi", o.dswp.minInstructions);
-  appendKnob(key, "sf", o.dswp.swFraction);
-  appendKnob(key, "hcd", o.hls.maxChainDepth);
-  appendKnob(key, "hmp", o.hls.memPortsPerState);
-  appendKnob(key, "hqp", o.hls.queuePortsPerState);
-  appendKnob(key, "hmu", o.hls.multipliersPerState);
-  appendKnob(key, "hdv", o.hls.dividersPerState);
-  appendKnob(key, "vp", static_cast<uint64_t>(o.verifyPartition));
-  appendKnob(key, "vo", static_cast<uint64_t>(o.verifyOnly));
-  appendKnob(key, "us", static_cast<uint64_t>(o.unseedSemaphores));
-  appendKnob(key, "lt", o.limits.stageTimeoutMs);
-  appendKnob(key, "ltk", o.limits.maxTokens);
-  appendKnob(key, "lan", o.limits.maxAstNodes);
-  appendKnob(key, "lnd", o.limits.maxNestingDepth);
-  appendKnob(key, "lir", o.limits.maxIrInstructions);
-  appendKnob(key, "lis", o.limits.maxInterpSteps);
-  appendKnob(key, "lmb", o.limits.memLimitBytes);
-  // The pure flows read maxCycles (sim/system.cpp runPureLoop), so it is a
-  // compile-group axis, not a Twill-only one.
-  appendKnob(key, "mc", o.sim.maxCycles);
-  appendKnob(key, "dw", o.sim.deadlockWindow);
+  appendKnobTerms(key, req.options, /*simAxes=*/false);
   return key;
 }
 
 std::string requestCacheKey(const CompileRequest& req) {
   std::string key = compileCacheKey(req);
-  const SimConfig& s = req.options.sim;
-  appendKnob(key, "qc", s.queueCapacity);
-  appendKnob(key, "ql", s.queueLatency);
-  appendKnob(key, "pr", s.numProcessors);
-  appendKnob(key, "sq", s.schedQuantum);
+  appendKnobTerms(key, req.options, /*simAxes=*/true);
   key += "|name=";
   key += req.name;
   return key;

@@ -32,6 +32,11 @@
 //
 // The response to a request is the BenchmarkReport document reportToJson
 // emits (schema_version 1, driver.h).
+//
+// The 28 knobs of the groups above are rows of one table (kKnobs in
+// request.cpp), the only knob list: each row names the field, its value kind
+// and range, whether it is a Twill-only sim axis, and whether twillc has a
+// flag for it. The parser, both cache keys and applyKnobFlag loop over it.
 #pragma once
 
 #include <string>
@@ -63,14 +68,25 @@ bool parseCompileRequest(const std::string& text, CompileRequest& out, std::stri
 /// Same, over an already-parsed document.
 bool compileRequestFromJson(const JsonValue& doc, CompileRequest& out, std::string& error);
 
+/// Outcome of applyKnobFlag.
+enum class KnobFlag : uint8_t { NotAKnob, Set, BadValue };
+
+/// twillc's valued knob flags: each is the request field of the same name
+/// (`--queue-capacity` is sim.queue_capacity, `--timeout-ms` is
+/// limits.timeout_ms) and accepts exactly that field's range. `text` is
+/// parsed as decimal, not JSON, so `--sw-fraction .5` works. Returns
+/// NotAKnob when `flag` is no knob flag; BadValue with a one-line `error`
+/// when `text` is null (the value is missing), malformed or out of range.
+KnobFlag applyKnobFlag(const std::string& flag, const char* text, DriverOptions& opts,
+                       std::string& error);
+
 /// Cache key over the request's compile axes: the source text (hashed, and
-/// verified against the stored source on lookup) plus every knob the
-/// compile side reads — flows, inline threshold, DSWP, HLS, verify flags,
-/// resource limits, and the sim knobs the pure flows observe (max_cycles).
-/// Deliberately excludes the Twill-only sim axes (queue capacity/latency,
-/// processors, sched quantum): requests differing only in those re-simulate
-/// a cached compile's kept artifacts, the way the explorer's sim points
-/// reuse their group's decode. Also excludes `name` (presentation only).
+/// verified against the stored source on lookup) plus every document knob
+/// except the four Twill-only sim axes (queue capacity/latency, processors,
+/// sched quantum): requests differing only in those re-simulate a cached
+/// compile's kept artifacts, the way the explorer's sim points reuse their
+/// group's decode. sim.max_cycles is in the key, as the pure flows observe
+/// it. Also excludes `name` (presentation only).
 std::string compileCacheKey(const CompileRequest& req);
 
 /// Full-request key: compileCacheKey plus the Twill-only sim axes and the

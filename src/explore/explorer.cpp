@@ -21,14 +21,14 @@ void fillObjectives(PointResult& p) {
   p.objectives.power = p.report.powerTwill;
 }
 
+/// The request's options with the point's five ParamSpace axes applied.
 DriverOptions optionsFor(const ExploreRequest& req, const ConfigPoint& point) {
-  DriverOptions opts;
-  opts.inlineThreshold = req.inlineThreshold;
-  opts.hls = req.hls;
-  opts.dswp = point.dswp;
-  opts.sim = point.sim;
-  opts.limits = req.limits;
-  opts.unseedSemaphores = req.unseedSemaphores;
+  DriverOptions opts = req.options;
+  opts.dswp.numPartitions = point.dswp.numPartitions;
+  opts.dswp.swFraction = point.dswp.swFraction;
+  opts.sim.queueCapacity = point.sim.queueCapacity;
+  opts.sim.queueLatency = point.sim.queueLatency;
+  opts.sim.numProcessors = point.sim.numProcessors;
   return opts;
 }
 
@@ -90,10 +90,10 @@ void evalGroup(const ExploreRequest& req, ExploreResult& res, size_t first, size
   SimProgram prog(*art->module, art->schedules);  // one decode for the group
   for (size_t k = 1; k < count; ++k) {
     PointResult& p = res.points[first + k];
-    SimConfig sim = p.point.sim;
+    SimConfig sim = optionsFor(req, p.point).sim;
     std::unique_ptr<TraceRecorder> rec;
     captureInto(sim, rec);
-    takeReport(p, resimulateTwill(anchor.report, *art, prog, sim, req.limits));
+    takeReport(p, resimulateTwill(anchor.report, *art, prog, sim, req.options.limits));
     if (rec) p.traceJson = rec->toJson();
   }
 }

@@ -34,17 +34,15 @@ struct ExploreRequest {
   std::string name;    // report name (kernel name in the CLI)
   std::string source;  // C source in the supported subset
   ParamSpace space;
-  unsigned inlineThreshold = 100;
-  HlsConstraints hls;
-  /// Resource ceilings applied to every evaluated point (see
-  /// DriverOptions::limits). A compile-side breach (token/AST/IR caps) is a
+  /// The driver options every point starts from; a point overrides only
+  /// its five ParamSpace axes. The resource ceilings (`options.limits`)
+  /// apply to every point: a compile-side breach (token/AST/IR caps) is a
   /// property of the source + compile knobs, so it prunes the whole compile
   /// group the way verification failures already do; simulation-side
-  /// breaches are evaluated per point.
-  ResourceLimits limits;
-  /// Debug hook forwarded to DriverOptions: re-introduce the unseeded
-  /// initial-count bug shape so verification-failure pruning is testable.
-  bool unseedSemaphores = false;
+  /// breaches are evaluated per point. `options.unseedSemaphores`
+  /// re-introduces the unseeded initial-count bug shape so
+  /// verification-failure pruning is testable.
+  DriverOptions options;
   /// Capture a per-point sim trace (PointResult::traceJson). The recorder is
   /// attached through SimConfig::trace only, so every event is stamped in
   /// sim cycles — the captured JSON is byte-identical across runs and

@@ -455,33 +455,34 @@ void TwillService::runJob(uint64_t id) {
       run.options.runTwill && !run.options.verifyOnly;
   BenchmarkReport rep = runCompileRequest(run);
   mMisses_->inc();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto fresh = std::make_shared<CacheEntry>();
-    fresh->source = req.source;
-    fresh->anchor = rep;  // artifacts (if any) stay on the cached anchor
-    if (rep.ok && rep.twillArtifacts)
-      fresh->prog = std::make_unique<SimProgram>(*rep.twillArtifacts->module,
-                                                 rep.twillArtifacts->schedules);
-    fresh->lastUse = ++useClock_;
-    fresh->approxBytes = sizeof(CacheEntry) + req.source.size();
-    if (rep.twillArtifacts && rep.twillArtifacts->module)
-      fresh->approxBytes += rep.twillArtifacts->module->arena().bytesReserved();
-    artifacts_[compileKey] = std::move(fresh);
-    evictIfNeeded();
-  }
+  auto fresh = std::make_shared<CacheEntry>();
+  fresh->source = req.source;
+  fresh->anchor = rep;  // artifacts (if any) stay on the cached anchor
+  if (rep.ok && rep.twillArtifacts)
+    fresh->prog = std::make_unique<SimProgram>(*rep.twillArtifacts->module,
+                                               rep.twillArtifacts->schedules);
+  fresh->approxBytes = sizeof(CacheEntry) + req.source.size();
+  if (rep.twillArtifacts && rep.twillArtifacts->module)
+    fresh->approxBytes += rep.twillArtifacts->module->arena().bytesReserved();
   rep.twillArtifacts.reset();  // the response/job copy does not need them
   writeTrace();
-  finishJob(id, fullKey, rep);
+  finishJob(id, fullKey, rep, compileKey, std::move(fresh));
 }
 
-void TwillService::finishJob(uint64_t id, const std::string& fullKey,
-                             const BenchmarkReport& rep) {
+void TwillService::finishJob(uint64_t id, const std::string& fullKey, const BenchmarkReport& rep,
+                             const std::string& compileKey, std::shared_ptr<CacheEntry> fresh) {
   CachedResponse resp;
   resp.kind = rep.ok ? FailureKind::None : rep.failureKind;
   resp.status = httpStatusForFailure(resp.kind);
   resp.doc = reportToJson(rep) + "\n";
   std::lock_guard<std::mutex> lock(mu_);
+  // A miss caches its compile and its response together: an identical
+  // request running concurrently finds both (a full hit) or neither (a
+  // miss), never the compile alone.
+  if (fresh) {
+    fresh->lastUse = ++useClock_;
+    artifacts_[compileKey] = std::move(fresh);
+  }
   publishLocked(id, resp);
   // Cache the response under the full key (the level-1 hit path).
   responses_[fullKey] = std::move(resp);

@@ -181,7 +181,11 @@ class TwillService {
   HttpResponse statsResponse();
   HttpResponse metricsResponse();
   void runJob(uint64_t id);
-  void finishJob(uint64_t id, const std::string& fullKey, const BenchmarkReport& rep);
+  /// Publishes the job's report and caches it under `fullKey`; a miss also
+  /// passes its `fresh` compile entry, cached under `compileKey` in the same
+  /// critical section.
+  void finishJob(uint64_t id, const std::string& fullKey, const BenchmarkReport& rep,
+                 const std::string& compileKey = {}, std::shared_ptr<CacheEntry> fresh = {});
   void publishLocked(uint64_t id, const CachedResponse& resp);  // callers hold mu_
   void evictIfNeeded();  // callers hold mu_
   size_t cacheBytesLocked() const;  // callers hold mu_

@@ -149,6 +149,12 @@ TEST(TwillExploreCliTest, VerificationFailureExitsWithThree) {
                     src);
   EXPECT_EQ(r.exitCode, 3) << r.out;
   EXPECT_NE(r.out.find("partition verification failed"), std::string::npos) << r.out;
+  // The built-in kernel form must see the same knobs: mpeg2 is the CHStone
+  // kernel whose unseeded pipeline fails verification under these flags.
+  RunResult kernel = run(std::string(TWILL_EXPLORE_PATH) +
+                         " --kernel mpeg2 --inline-threshold 0 --partitions 2"
+                         " --unseed-semaphores --out /dev/null");
+  EXPECT_EQ(kernel.exitCode, 3) << kernel.out;
 }
 
 TEST(TwillExploreCliTest, BadUsageExitsWithTwo) {

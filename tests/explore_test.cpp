@@ -293,10 +293,10 @@ TEST(ExplorerTest, VerifyFailurePrunesTheWholeCompileGroup) {
       "  return t;\n"
       "}\n"
       "int main(void) { int a = f(3); int b = f(a & 15); return a + b; }\n";
-  req.inlineThreshold = 0;  // keep f out-of-line so it gets an overlap guard
+  req.options.inlineThreshold = 0;  // keep f out-of-line so it gets an overlap guard
   req.space.partitions = {2};
   req.space.queueCapacities = {2, 8, 32};
-  req.unseedSemaphores = true;
+  req.options.unseedSemaphores = true;
   ExploreResult res = explore(req, 1);
   EXPECT_FALSE(res.ok);
   ASSERT_EQ(res.points.size(), 3u);
@@ -310,14 +310,14 @@ TEST(ExplorerTest, VerifyFailurePrunesTheWholeCompileGroup) {
 
 TEST(ExplorerTest, ResourceBreachPrunesTheWholeCompileGroup) {
   // A resource breach on the compile side (here: the golden execution's
-  // memory ceiling, from ExploreRequest::limits) is shared by every sim
+  // memory ceiling, from ExploreRequest::options.limits) is shared by every sim
   // point of the group, exactly like a verification failure: the anchor's
   // rejection is copied, no per-point simulation runs, and the failure
   // kind survives as Resource so twill-explore can exit 5.
   ExploreRequest req;
   req.name = "capped";
   req.source = "int big[300000];\nint main(void) { big[7] = 1; return big[7]; }\n";
-  req.limits.memLimitBytes = 1u << 20;  // 1 MiB ceiling; big[] needs ~1.2 MB
+  req.options.limits.memLimitBytes = 1u << 20;  // 1 MiB ceiling; big[] needs ~1.2 MB
   req.space.partitions = {2};
   req.space.queueCapacities = {2, 8, 32};
   ExploreResult res = explore(req, 1);

@@ -148,6 +148,73 @@ TEST(CompileRequestTest, RunsThroughTheDriver) {
   EXPECT_EQ(rep.name, "seven");
 }
 
+// --- CLI knob flags --------------------------------------------------------
+
+TEST(KnobFlagTest, EachValuedTwillcFlagSetsItsRequestField) {
+  // twillc's twelve valued flags, each with a value that both the flag and
+  // the request field accept.
+  const char* flags[][3] = {
+      {"--inline-threshold", "7", "\"compile\": {\"inline_threshold\": 7}"},
+      {"--partitions", "3", "\"compile\": {\"partitions\": 3}"},
+      {"--max-partitions", "4", "\"compile\": {\"max_partitions\": 4}"},
+      {"--min-instructions", "9", "\"compile\": {\"min_instructions\": 9}"},
+      {"--sw-fraction", ".25", "\"compile\": {\"sw_fraction\": 0.25}"},
+      {"--queue-capacity", "16", "\"sim\": {\"queue_capacity\": 16}"},
+      {"--queue-latency", "5", "\"sim\": {\"queue_latency\": 5}"},
+      {"--processors", "2", "\"sim\": {\"processors\": 2}"},
+      {"--sched-quantum", "500", "\"sim\": {\"sched_quantum\": 500}"},
+      {"--max-cycles", "1099511627777", "\"sim\": {\"max_cycles\": 1099511627777}"},
+      {"--timeout-ms", "2000", "\"limits\": {\"timeout_ms\": 2000}"},
+      {"--max-memory-mb", "8", "\"limits\": {\"max_memory_mb\": 8}"},
+  };
+  for (const auto& f : flags) {
+    CompileRequest viaFlag = parseOk("{\"kernel\": \"mips\"}");
+    std::string error;
+    ASSERT_EQ(applyKnobFlag(f[0], f[1], viaFlag.options, error), KnobFlag::Set) << f[0] << error;
+    CompileRequest viaDoc = parseOk(std::string("{\"kernel\": \"mips\", ") + f[2] + "}");
+    EXPECT_EQ(requestCacheKey(viaFlag), requestCacheKey(viaDoc)) << f[0];
+  }
+  // No other knob is a flag: the boolean knobs are hand-written switches,
+  // and hls.* and the remaining limits.* are document-only.
+  DriverOptions o;
+  std::string error;
+  for (const char* flag : {"--sw", "--partition", "--unseed-semaphores", "--max-chain-depth",
+                           "--max-tokens", "--max-interp-steps", "--jobs", "--name"})
+    EXPECT_EQ(applyKnobFlag(flag, "1", o, error), KnobFlag::NotAKnob) << flag;
+}
+
+TEST(KnobFlagTest, FlagsTakeTheirFieldsRange) {
+  DriverOptions o;
+  std::string error;
+  const char* bad[][2] = {
+      {"--queue-capacity", "0"},
+      {"--processors", "0"},
+      {"--max-cycles", "0"},
+      {"--max-partitions", "0"},
+      {"--max-memory-mb", "0"},
+      {"--max-memory-mb", "4096"},
+      {"--sw-fraction", "nan"},
+      {"--sw-fraction", "1.5"},
+      {"--sw-fraction", ""},
+      {"--partitions", "-1"},
+      {"--partitions", " 1"},
+      {"--partitions", "2x"},
+      {"--partitions", ""},
+      {"--partitions", "4294967296"},
+      {"--max-cycles", "18446744073709551616"},
+  };
+  for (const auto& b : bad) {
+    error.clear();
+    EXPECT_EQ(applyKnobFlag(b[0], b[1], o, error), KnobFlag::BadValue) << b[0] << " " << b[1];
+    EXPECT_NE(error.find(b[0]), std::string::npos) << error;
+  }
+  EXPECT_EQ(applyKnobFlag("--queue-capacity", nullptr, o, error), KnobFlag::BadValue);
+  EXPECT_NE(error.find("requires a value"), std::string::npos) << error;
+  // Failed flags leave the options untouched.
+  EXPECT_EQ(o.sim.queueCapacity, DriverOptions().sim.queueCapacity);
+  EXPECT_EQ(o.limits.memLimitBytes, DriverOptions().limits.memLimitBytes);
+}
+
 // --- cache keys ------------------------------------------------------------
 
 TEST(CacheKeyTest, SimOnlyAxesShareACompileKey) {
@@ -158,6 +225,17 @@ TEST(CacheKeyTest, SimOnlyAxesShareACompileKey) {
   // Same compile group: b re-simulates a's artifacts.
   EXPECT_EQ(compileCacheKey(a), compileCacheKey(b));
   EXPECT_NE(requestCacheKey(a), requestCacheKey(b));
+  // And each axis alone splits only the full key.
+  const char* variants[] = {
+      "{\"kernel\": \"mips\", \"sim\": {\"queue_capacity\": 32}}",
+      "{\"kernel\": \"mips\", \"sim\": {\"queue_latency\": 5}}",
+      "{\"kernel\": \"mips\", \"sim\": {\"processors\": 2}}",
+      "{\"kernel\": \"mips\", \"sim\": {\"sched_quantum\": 100}}",
+  };
+  for (const char* v : variants) {
+    EXPECT_EQ(compileCacheKey(a), compileCacheKey(parseOk(v))) << v;
+    EXPECT_NE(requestCacheKey(a), requestCacheKey(parseOk(v))) << v;
+  }
 }
 
 TEST(CacheKeyTest, CompileAxesSplitTheKey) {
@@ -172,6 +250,24 @@ TEST(CacheKeyTest, CompileAxesSplitTheKey) {
       "{\"kernel\": \"mips\", \"limits\": {\"max_memory_mb\": 8}}",
       "{\"kernel\": \"mips\", \"sim\": {\"max_cycles\": 1000}}",  // pure flows read it
       "{\"kernel\": \"adpcm\"}",                                  // different source
+      // With the eight above, one variant per compile-key knob: every
+      // document knob but the four Twill-only sim axes.
+      "{\"kernel\": \"mips\", \"flows\": {\"sw\": false}}",
+      "{\"kernel\": \"mips\", \"flows\": {\"twill\": false}}",
+      "{\"kernel\": \"mips\", \"compile\": {\"max_partitions\": 3}}",
+      "{\"kernel\": \"mips\", \"compile\": {\"min_instructions\": 5}}",
+      "{\"kernel\": \"mips\", \"hls\": {\"mem_ports_per_state\": 2}}",
+      "{\"kernel\": \"mips\", \"hls\": {\"queue_ports_per_state\": 2}}",
+      "{\"kernel\": \"mips\", \"hls\": {\"multipliers_per_state\": 3}}",
+      "{\"kernel\": \"mips\", \"hls\": {\"dividers_per_state\": 2}}",
+      "{\"kernel\": \"mips\", \"verify\": {\"only\": true}}",
+      "{\"kernel\": \"mips\", \"verify\": {\"unseed_semaphores\": true}}",
+      "{\"kernel\": \"mips\", \"limits\": {\"timeout_ms\": 100}}",
+      "{\"kernel\": \"mips\", \"limits\": {\"max_tokens\": 1000}}",
+      "{\"kernel\": \"mips\", \"limits\": {\"max_ast_nodes\": 1000}}",
+      "{\"kernel\": \"mips\", \"limits\": {\"max_nesting_depth\": 10}}",
+      "{\"kernel\": \"mips\", \"limits\": {\"max_ir_instructions\": 1000}}",
+      "{\"kernel\": \"mips\", \"limits\": {\"max_interp_steps\": 1000}}",
   };
   for (const char* v : variants)
     EXPECT_NE(compileCacheKey(base), compileCacheKey(parseOk(v))) << v;

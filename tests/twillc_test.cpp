@@ -13,6 +13,8 @@
 
 #include <sys/wait.h>
 
+#include "src/support/json.h"
+
 namespace {
 
 #ifndef TWILLC_PATH
@@ -50,6 +52,13 @@ std::string writeTempSource(const std::string& contents) {
   std::string path = tempPath("_input.c");
   std::ofstream f(path);
   f << contents;
+  return path;
+}
+
+std::string writeTempRequest(const std::string& doc) {
+  std::string path = tempPath("_request.json");
+  std::ofstream f(path);
+  f << doc;
   return path;
 }
 
@@ -186,6 +195,13 @@ TEST(TwillcTest, SimKnobsAreAccepted) {
   RunResult r = runTwillc("--json --queue-capacity 16 --queue-latency 4 --partitions 2 " + src);
   ASSERT_EQ(r.exitCode, 0) << r.out;
   EXPECT_NE(r.out.find("\"ok\": true"), std::string::npos) << r.out;
+  // Each valued flag takes its request field's whole range: sim.max_cycles
+  // accepts the 2^40 default, above UINT_MAX.
+  RunResult big = runTwillc("--max-cycles 1099511627776 --no-hw --no-twill " + src);
+  EXPECT_EQ(big.exitCode, 0) << big.out;
+  // Values are decimal text, not JSON: a bare leading '.' parses.
+  RunResult frac = runTwillc("--sw-fraction .5 --verify-only " + src);
+  EXPECT_EQ(frac.exitCode, 0) << frac.out;
 }
 
 TEST(TwillcTest, SkippedFlowsAreMarkedNotRan) {
@@ -227,6 +243,34 @@ TEST(TwillcTest, BadUsageExitsWithTwo) {
   EXPECT_EQ(runTwillc("--processors 0 x.c").exitCode, 2);
   EXPECT_EQ(runTwillc("--partitions '' x.c").exitCode, 2);
   EXPECT_EQ(runTwillc("--partitions 99999999999999999999 x.c").exitCode, 2);
+  // Each valued flag takes its request field's range: the document rejects
+  // these three, so the CLI must too.
+  EXPECT_EQ(runTwillc("--max-cycles 0 x.c").exitCode, 2);
+  EXPECT_EQ(runTwillc("--max-partitions 0 x.c").exitCode, 2);
+  EXPECT_EQ(runTwillc("--sw-fraction nan x.c").exitCode, 2);
+  // A --request document names its own program.
+  const std::string req = writeTempRequest("{\"kernel\": \"mips\"}");
+  EXPECT_EQ(runTwillc("--request " + req + " --kernel mips").exitCode, 2);
+}
+
+TEST(TwillcTest, FlagsOverrideTheRequestDocument) {
+  // README: "later CLI flags override the document's knobs" — a switch and
+  // a valued flag alike.
+  std::string req = writeTempRequest(
+      "{\"source\": \"int main(void) { return 7; }\", \"flows\": {\"hw\": true},"
+      " \"sim\": {\"max_cycles\": 1099511627776}}");
+  RunResult r = runTwillc("--request " + req + " --no-hw --json");
+  ASSERT_EQ(r.exitCode, 0) << r.out;
+  twill::JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(twill::parseJson(r.out, doc, error)) << error << "\n" << r.out;
+  const twill::JsonValue* flows = doc.get("flows");
+  ASSERT_TRUE(flows != nullptr && flows->get("hw") != nullptr) << r.out;
+  const twill::JsonValue* ran = flows->get("hw")->get("ran");
+  ASSERT_TRUE(ran != nullptr && ran->isBool()) << r.out;
+  EXPECT_FALSE(ran->asBool()) << r.out;
+  // Two cycles cannot finish any flow: the flag, not the document, decided.
+  EXPECT_EQ(runTwillc("--request " + req + " --max-cycles 2").exitCode, 4);
 }
 
 // The exit-code contract (documented in --help; twilld and CI dispatch on

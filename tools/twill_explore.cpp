@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "src/chstone/kernels.h"
+#include "src/driver/request.h"
 #include "src/explore/explorer.h"
 
 namespace {
@@ -88,8 +89,7 @@ int main(int argc, char** argv) {
   std::string csvPath;
   std::string traceDir;
   unsigned jobs = 1;
-  unsigned inlineThreshold = 100;
-  bool unseedSemaphores = false;
+  twill::DriverOptions options;  // the knobs every point shares
 
   auto needValue = [&](int& i, const char* flag) -> const char* {
     if (i + 1 >= argc) {
@@ -136,13 +136,12 @@ int main(int argc, char** argv) {
       }
       jobs = v[0];
     } else if (arg == "--inline-threshold") {
-      std::vector<unsigned> v;
-      parseAxis(i, "--inline-threshold", /*allowZero=*/true, v);
-      if (v.size() != 1) {
-        std::fprintf(stderr, "twill-explore: --inline-threshold wants a single value\n");
+      std::string error;
+      if (twill::applyKnobFlag(arg, needValue(i, "--inline-threshold"), options, error) !=
+          twill::KnobFlag::Set) {
+        std::fprintf(stderr, "twill-explore: %s\n", error.c_str());
         return 2;
       }
-      inlineThreshold = v[0];
     } else if (arg == "--out") {
       outPath = needValue(i, "--out");
     } else if (arg == "--csv") {
@@ -150,7 +149,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--trace-dir") {
       traceDir = needValue(i, "--trace-dir");
     } else if (arg == "--unseed-semaphores") {
-      unseedSemaphores = true;
+      options.unseedSemaphores = true;
     } else if (arg[0] != '-') {
       if (!sourcePath.empty()) {
         std::fprintf(stderr, "twill-explore: multiple input files ('%s' and '%s')\n",
@@ -175,7 +174,18 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // Every request shares the grid and the fixed knobs; only the program
+  // differs.
   std::vector<twill::ExploreRequest> reqs;
+  auto addRequest = [&](std::string name, std::string source) {
+    twill::ExploreRequest req;
+    req.name = std::move(name);
+    req.source = std::move(source);
+    req.space = space;
+    req.options = options;
+    req.captureTraces = !traceDir.empty();
+    reqs.push_back(std::move(req));
+  };
   if (!sourcePath.empty()) {
     std::ifstream in(sourcePath, std::ios::binary);
     if (!in) {
@@ -184,15 +194,8 @@ int main(int argc, char** argv) {
     }
     std::ostringstream ss;
     ss << in.rdbuf();
-    twill::ExploreRequest req;
     size_t slash = sourcePath.find_last_of('/');
-    req.name = slash == std::string::npos ? sourcePath : sourcePath.substr(slash + 1);
-    req.source = ss.str();
-    req.space = space;
-    req.inlineThreshold = inlineThreshold;
-    req.unseedSemaphores = unseedSemaphores;
-    req.captureTraces = !traceDir.empty();
-    reqs.push_back(std::move(req));
+    addRequest(slash == std::string::npos ? sourcePath : sourcePath.substr(slash + 1), ss.str());
   } else {
     if (kernelNames.empty())
       for (const auto& k : twill::chstoneKernels()) kernelNames.push_back(k.name);
@@ -203,13 +206,7 @@ int main(int argc, char** argv) {
                      name.c_str());
         return 2;
       }
-      twill::ExploreRequest req;
-      req.name = k->name;
-      req.source = k->source;
-      req.space = space;
-      req.inlineThreshold = inlineThreshold;
-      req.captureTraces = !traceDir.empty();
-      reqs.push_back(std::move(req));
+      addRequest(k->name, k->source);
     }
   }
 

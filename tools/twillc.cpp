@@ -10,8 +10,6 @@
 //   $ twillc --json --queue-capacity 16 --partitions 3 program.c
 //   $ twillc --kernel mips --json          # run a built-in CHStone kernel
 //   $ echo 'int main(){return 7;}' | twillc -
-#include <cerrno>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -198,19 +196,6 @@ int main(int argc, char** argv) {
     opts = creq.options;
     name = creq.name;
   }
-  auto parseUnsigned = [&](int& i, const char* flag) -> unsigned {
-    const char* v = needValue(i, flag);
-    errno = 0;
-    char* end = nullptr;
-    unsigned long n = std::strtoul(v, &end, 10);
-    // strtoul silently wraps negatives and accepts the empty string; reject
-    // anything that isn't a plain decimal in [0, UINT_MAX].
-    if (end == v || *end != '\0' || v[0] == '-' || errno == ERANGE || n > UINT_MAX) {
-      std::fprintf(stderr, "twillc: %s expects an unsigned integer, got '%s'\n", flag, v);
-      std::exit(2);
-    }
-    return static_cast<unsigned>(n);
-  };
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -247,50 +232,6 @@ int main(int argc, char** argv) {
       opts.verifyOnly = true;
     } else if (arg == "--unseed-semaphores") {
       opts.unseedSemaphores = true;
-    } else if (arg == "--max-cycles") {
-      opts.sim.maxCycles = parseUnsigned(i, "--max-cycles");
-    } else if (arg == "--inline-threshold") {
-      opts.inlineThreshold = parseUnsigned(i, "--inline-threshold");
-    } else if (arg == "--partitions") {
-      opts.dswp.numPartitions = parseUnsigned(i, "--partitions");
-    } else if (arg == "--max-partitions") {
-      opts.dswp.maxPartitions = parseUnsigned(i, "--max-partitions");
-    } else if (arg == "--min-instructions") {
-      opts.dswp.minInstructions = parseUnsigned(i, "--min-instructions");
-    } else if (arg == "--sw-fraction") {
-      const char* v = needValue(i, "--sw-fraction");
-      char* end = nullptr;
-      double f = std::strtod(v, &end);
-      if (end == v || !end || *end != '\0' || f < 0.0 || f > 1.0) {
-        std::fprintf(stderr, "twillc: --sw-fraction expects a number in [0,1], got '%s'\n", v);
-        return 2;
-      }
-      opts.dswp.swFraction = f;
-    } else if (arg == "--queue-capacity") {
-      opts.sim.queueCapacity = parseUnsigned(i, "--queue-capacity");
-      if (opts.sim.queueCapacity == 0) {
-        std::fprintf(stderr, "twillc: --queue-capacity must be >= 1\n");
-        return 2;
-      }
-    } else if (arg == "--queue-latency") {
-      opts.sim.queueLatency = parseUnsigned(i, "--queue-latency");
-    } else if (arg == "--processors") {
-      opts.sim.numProcessors = parseUnsigned(i, "--processors");
-      if (opts.sim.numProcessors == 0) {
-        std::fprintf(stderr, "twillc: --processors must be >= 1\n");
-        return 2;
-      }
-    } else if (arg == "--sched-quantum") {
-      opts.sim.schedQuantum = parseUnsigned(i, "--sched-quantum");
-    } else if (arg == "--timeout-ms") {
-      opts.limits.stageTimeoutMs = parseUnsigned(i, "--timeout-ms");
-    } else if (arg == "--max-memory-mb") {
-      unsigned mb = parseUnsigned(i, "--max-memory-mb");
-      if (mb == 0 || mb > 2048) {
-        std::fprintf(stderr, "twillc: --max-memory-mb must be in [1, 2048]\n");
-        return 2;
-      }
-      opts.limits.memLimitBytes = mb << 20;
     } else if (arg == "-" || arg[0] != '-') {
       if (!inputPath.empty()) {
         std::fprintf(stderr, "twillc: multiple input files ('%s' and '%s')\n",
@@ -299,9 +240,19 @@ int main(int argc, char** argv) {
       }
       inputPath = arg;
     } else {
-      std::fprintf(stderr, "twillc: unknown option '%s'\n", arg.c_str());
-      printUsage(stderr);
-      return 2;
+      // Every valued knob flag is the request field of the same name
+      // (--queue-capacity is sim.queue_capacity), with that field's range.
+      std::string error;
+      switch (twill::applyKnobFlag(arg, i + 1 < argc ? argv[i + 1] : nullptr, opts, error)) {
+        case twill::KnobFlag::Set: ++i; break;
+        case twill::KnobFlag::BadValue:
+          std::fprintf(stderr, "twillc: %s\n", error.c_str());
+          return 2;
+        case twill::KnobFlag::NotAKnob:
+          std::fprintf(stderr, "twillc: unknown option '%s'\n", arg.c_str());
+          printUsage(stderr);
+          return 2;
+      }
     }
   }
 

@@ -33,7 +33,7 @@ void runIndexedTasks(unsigned jobs, size_t count, const std::function<void(size_
 class WorkerPool {
  public:
   /// Spawns `jobs` workers (at least one; the daemon has no useful serial
-  /// mode — a request must not block the accept loop).
+  /// mode — a request must not block an accept loop).
   explicit WorkerPool(unsigned jobs);
 
   /// Drains nothing: signals shutdown, then joins. Queued-but-unstarted

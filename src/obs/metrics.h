@@ -4,7 +4,7 @@
 //
 // Design constraints, in order:
 //  * Thread-safe and TSan-clean: every sample is one relaxed atomic op
-//    (twilld's worker pool and the accept loop hammer these concurrently;
+//    (twilld's worker pool and accept loops hammer these concurrently;
 //    the sanitize-thread CI job runs the N-thread submission test).
 //  * Deterministic output: histogram buckets are fixed powers of two and
 //    sums accumulate in integer microseconds (no float rounding races), so

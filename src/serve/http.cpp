@@ -6,15 +6,26 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <chrono>
+#include <cstdint>
 #include <cstring>
+#include <exception>
+#include <mutex>
+#include <thread>
 
 namespace twill {
 
 namespace {
 
 const std::string kEmpty;
+
+/// Accept loops serve() runs. Each serves one connection at a time, so this
+/// many stalled clients (each held for at most socketTimeoutSec) or held
+/// report polls are what it takes to delay a new connection.
+constexpr unsigned kAcceptLoops = 8;
 
 std::string toLower(std::string s) {
   for (char& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
@@ -180,6 +191,17 @@ bool HttpServer::start(std::string& error) {
     error = std::string("listen: ") + std::strerror(errno);
     return false;
   }
+  // Every accept loop blocks in accept() on this socket: Linux wakes one of
+  // them per connection, where polling the socket would wake them all. The
+  // receive timeout, which Linux applies to accept(), returns each loop at
+  // least every 200 ms to check stop(). Connection sockets inherit it, but
+  // handleConnection only reads after poll() reports data.
+  timeval tick{};
+  tick.tv_usec = 200 * 1000;
+  if (::setsockopt(listenFd_, SOL_SOCKET, SO_RCVTIMEO, &tick, sizeof(tick)) < 0) {
+    error = std::string("setsockopt: ") + std::strerror(errno);
+    return false;
+  }
   sockaddr_in bound{};
   socklen_t len = sizeof(bound);
   if (::getsockname(listenFd_, reinterpret_cast<sockaddr*>(&bound), &len) == 0)
@@ -188,14 +210,28 @@ bool HttpServer::start(std::string& error) {
 }
 
 void HttpServer::serve(const Handler& handler) {
+  std::mutex failureMu;
+  std::exception_ptr failure;
+  auto loop = [&] {
+    try {
+      acceptLoop(handler);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(failureMu);
+      if (!failure) failure = std::current_exception();
+      stop();
+    }
+  };
+  std::vector<std::thread> loops;
+  for (unsigned i = 1; i < kAcceptLoops; ++i) loops.emplace_back(loop);
+  loop();  // the calling thread is one of the loops
+  for (std::thread& t : loops) t.join();
+  if (failure) std::rethrow_exception(failure);
+}
+
+void HttpServer::acceptLoop(const Handler& handler) {
   while (!stopping_.load(std::memory_order_acquire)) {
-    // Poll with a short tick so stop() is observed promptly even when no
-    // client ever connects (accept() alone would block forever).
-    pollfd pfd{listenFd_, POLLIN, 0};
-    const int r = ::poll(&pfd, 1, 200);
-    if (r <= 0) continue;
     const int fd = ::accept(listenFd_, nullptr, nullptr);
-    if (fd < 0) continue;
+    if (fd < 0) continue;  // the 200 ms tick
     handleConnection(fd, handler);
     ::close(fd);
   }
@@ -226,11 +262,30 @@ void sendError(int fd, int status, const std::string& message) {
 void HttpServer::handleConnection(int fd, const Handler& handler) {
   timeval tv{};
   tv.tv_sec = cfg_.socketTimeoutSec;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
   ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
 
-  // Read the head (request line + headers) under the header byte cap.
+  // One deadline for the whole request, not one per recv: a client
+  // trickling a byte at a time would otherwise hold its connection, and so
+  // an accept loop, forever.
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point deadline = Clock::now() + std::chrono::seconds(cfg_.socketTimeoutSec);
   std::string buf;
+  // Appends the next bytes the client sends to `buf`. False when the
+  // deadline passes first or the peer is gone.
+  auto receive = [&] {
+    const int64_t leftMs =
+        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - Clock::now()).count();
+    const int waitMs = static_cast<int>(std::min<int64_t>(leftMs, INT32_MAX));
+    pollfd pfd{fd, POLLIN, 0};
+    if (leftMs <= 0 || ::poll(&pfd, 1, waitMs) <= 0) return false;
+    char chunk[4096];
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) return false;
+    buf.append(chunk, static_cast<size_t>(n));
+    return true;
+  };
+
+  // Read the head (request line + headers) under the header byte cap.
   size_t headEnd;
   for (;;) {
     headEnd = buf.find("\r\n\r\n");
@@ -240,13 +295,10 @@ void HttpServer::handleConnection(int fd, const Handler& handler) {
                              " bytes");
       return;
     }
-    char chunk[4096];
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) {
+    if (!receive()) {
       if (!buf.empty()) sendError(fd, 408, "timed out reading request head");
       return;
     }
-    buf.append(chunk, static_cast<size_t>(n));
   }
   // The terminator can arrive in the same read as an oversized head; the
   // cap applies to the head itself, not to how it was chunked.
@@ -281,13 +333,10 @@ void HttpServer::handleConnection(int fd, const Handler& handler) {
 
   const size_t bodyStart = headEnd + 4;
   while (buf.size() - bodyStart < bodyLen) {
-    char chunk[4096];
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) {
+    if (!receive()) {
       sendError(fd, 408, "timed out reading request body");
       return;
     }
-    buf.append(chunk, static_cast<size_t>(n));
   }
 
   head.body = buf.substr(bodyStart, bodyLen);

@@ -7,8 +7,8 @@
 // `Connection: close`); curl and every HTTP client negotiates that fine.
 //
 // Hostile-input posture mirrors the rest of the pipeline: header and body
-// byte caps with structured 431/413 rejections, a per-connection socket
-// timeout so a stalled client cannot wedge the accept loop, and handlers
+// byte caps with structured 431/413 rejections, one deadline per request so
+// a stalled or trickling client cannot hold its connection, and handlers
 // that never see a malformed request.
 #pragma once
 
@@ -54,14 +54,19 @@ struct HttpServerConfig {
   uint16_t port = 0;           // 0 = ephemeral; see HttpServer::port()
   size_t maxHeaderBytes = 16 * 1024;
   size_t maxBodyBytes = 1 << 20;
-  unsigned socketTimeoutSec = 10;  // per-connection recv/send timeout
+  /// Deadline for reading a whole request (head and body), measured from
+  /// accept; also the per-send timeout for the response.
+  unsigned socketTimeoutSec = 10;
 };
 
-/// Blocking single-threaded accept loop. Connections are served one at a
-/// time: handlers must be cheap (twilld's are — submit enqueues on the
-/// worker pool, polls are table lookups), which keeps the server trivially
-/// race-free. stop() is safe from any thread (signal handlers use a
-/// self-pipe-free shutdown: closing the listen socket unblocks accept).
+/// Blocking accept loops, a fixed number of them on one shared listen
+/// socket: connections are served concurrently, so a stalled or slow client
+/// holds only its own connection's loop. The handler runs on several
+/// threads at once and must be thread-safe (TwillService::handle is). A
+/// handler may block briefly — twilld holds a report poll until its job
+/// finishes — but it ties up one loop while it does. stop() is safe from
+/// any thread, signal handlers included (one atomic store; every loop
+/// checks it at least every 200 ms).
 class HttpServer {
  public:
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
@@ -79,13 +84,16 @@ class HttpServer {
   /// start().
   uint16_t port() const { return boundPort_; }
 
-  /// Accept loop; returns after stop(). Call start() first.
+  /// Runs the accept loops; returns after stop(), once every loop has
+  /// finished its connection. An exception a handler throws stops the
+  /// server and is rethrown here. Call start() first.
   void serve(const Handler& handler);
 
   /// Unblocks serve() from any thread. Idempotent.
   void stop();
 
  private:
+  void acceptLoop(const Handler& handler);
   void handleConnection(int fd, const Handler& handler);
 
   HttpServerConfig cfg_;

@@ -1,6 +1,7 @@
 #include "src/serve/service.h"
 
 #include <algorithm>
+#include <chrono>
 #include <optional>
 
 #include "src/exec/superblock.h"
@@ -20,6 +21,11 @@ int httpStatusForFailure(FailureKind kind) {
 }
 
 namespace {
+
+/// How long a report poll of an unfinished job is held for it to finish
+/// before answering 202. Short, because a held poll ties up one of the
+/// server's accept loops.
+constexpr std::chrono::milliseconds kReportHold{100};
 
 const char* jobStateName(uint8_t s) {
   switch (s) {
@@ -61,10 +67,19 @@ TwillService::TwillService(const ServiceConfig& cfg) : cfg_(cfg) {
   mCompleted_ = &r.counter("twilld_jobs_completed_total", "Jobs finished, any outcome");
   mRejected_ =
       &r.counter("twilld_requests_rejected_total", "Malformed or oversized submissions (4xx)");
-  mFullHits_ = &r.counter("twilld_cache_hits_total", "Cache hits by level", "level=\"full\"");
-  mArtifactHits_ =
+  paths_[kPathFull].jobs =
+      &r.counter("twilld_cache_hits_total", "Cache hits by level", "level=\"full\"");
+  paths_[kPathArtifact].jobs =
       &r.counter("twilld_cache_hits_total", "Cache hits by level", "level=\"artifact\"");
-  mMisses_ = &r.counter("twilld_cache_misses_total", "Full compile+sim runs");
+  paths_[kPathMiss].jobs = &r.counter("twilld_cache_misses_total", "Full compile+sim runs");
+  static const char* const kPathNames[kNumPaths] = {"full", "artifact", "miss"};
+  for (unsigned i = 0; i < kNumPaths; ++i) {
+    const std::string label = std::string("path=\"") + kPathNames[i] + "\"";
+    paths_[i].queueWaitUs = &r.histogram(
+        "twilld_job_queue_wait_us", "Job wait for a worker in microseconds, by cache path", label);
+    paths_[i].runUs =
+        &r.histogram("twilld_job_run_us", "Job run time in microseconds, by cache path", label);
+  }
   mEvictResponse_ =
       &r.counter("twilld_cache_evictions_total", "LRU cache evictions", "cache=\"response\"");
   mEvictArtifact_ =
@@ -106,9 +121,9 @@ ServiceStats TwillService::stats() const {
   s.submitted = mSubmitted_->value();
   s.completed = mCompleted_->value();
   s.rejectedRequests = mRejected_->value();
-  s.cacheFullHits = mFullHits_->value();
-  s.cacheArtifactHits = mArtifactHits_->value();
-  s.cacheMisses = mMisses_->value();
+  s.cacheFullHits = paths_[kPathFull].jobs->value();
+  s.cacheArtifactHits = paths_[kPathArtifact].jobs->value();
+  s.cacheMisses = paths_[kPathMiss].jobs->value();
   s.ok = mOutcome_[0]->value();
   s.failCompile = mOutcome_[1]->value();
   s.failVerify = mOutcome_[2]->value();
@@ -130,7 +145,7 @@ void TwillService::countOutcome(FailureKind kind) {
 
 void TwillService::drain() {
   std::unique_lock<std::mutex> lock(mu_);
-  drainCv_.wait(lock, [this] {
+  doneCv_.wait(lock, [this] {
     for (const auto& [id, job] : jobs_)
       if (job.state != JobState::Done) return false;
     return true;
@@ -232,30 +247,46 @@ HttpResponse TwillService::submitJob(const HttpRequest& req) {
                                                  : std::min(lim.stageTimeoutMs, cfg_.maxTimeoutMs);
   if (cfg_.maxMemoryBytes > 0) lim.memLimitBytes = std::min(lim.memLimitBytes, cfg_.maxMemoryBytes);
 
+  const std::string fullKey = requestCacheKey(parsed);
+  const uint64_t submitUs = traceNowUs();
   uint64_t id;
+  std::optional<CachedResponse> fullHit;
   {
     std::lock_guard<std::mutex> lock(mu_);
     id = nextJobId_++;
     Job& job = jobs_[id];
     job.id = id;
-    job.request = std::move(parsed);
-    if (!cfg_.traceDir.empty()) {
-      // The recorder is born at submission so the queued span covers the
-      // real wait, not just the time after a worker picked the job up.
-      job.trace = std::make_shared<TraceRecorder>();
-      job.submitUs = traceNowUs();
-    }
-    // Counted before the pool submission so the gauge can never dip
-    // negative when the worker outraces this thread.
+    job.submitUs = submitUs;
     mSubmitted_->inc();
-    mQueueDepth_->add(1);
+    fullHit = lookupResponseLocked(fullKey);
+    if (fullHit) {
+      // A byte-identical repeat is answered here: it never enters the
+      // worker queue, so it waits behind no other job and leaves the pool
+      // gauges alone.
+      job.state = JobState::Running;
+      job.runStartUs = submitUs;
+    } else {
+      job.request = std::move(parsed);
+      // Counted before the pool submission so the gauge can never dip
+      // negative when the worker outraces this thread.
+      mQueueDepth_->add(1);
+    }
   }
-  pool_->submit([this, id] { runJob(id); });
+  if (fullHit) {
+    if (!cfg_.traceDir.empty()) {
+      TraceRecorder trace;
+      writeJobTrace(id, trace, submitUs, submitUs);
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    publishLocked(id, *fullHit, kPathFull);
+  } else {
+    pool_->submit([this, id] { runJob(id); });
+  }
 
   JsonWriter w;
   w.beginObject();
   w.field("job_id", id);
-  w.field("state", "queued");
+  w.field("state", fullHit ? "done" : "queued");
   w.endObject();
   HttpResponse resp;
   resp.status = 202;
@@ -285,8 +316,15 @@ HttpResponse TwillService::jobStatus(uint64_t id) {
 }
 
 HttpResponse TwillService::jobReport(uint64_t id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = jobs_.find(id);
+  std::unique_lock<std::mutex> lock(mu_);
+  // Hold the poll of an unfinished job until it is published, up to
+  // kReportHold: the client gets the report the moment it exists rather than
+  // on a later poll.
+  auto it = jobs_.end();
+  doneCv_.wait_for(lock, kReportHold, [&] {
+    it = jobs_.find(id);
+    return it == jobs_.end() || it->second.state == JobState::Done;
+  });
   if (it == jobs_.end()) return jsonError(404, "no such job");
   const Job& job = it->second;
   if (job.state != JobState::Done) {
@@ -328,9 +366,9 @@ HttpResponse TwillService::statsResponse() {
   w.endObject();
   w.key("cache");
   w.beginObject();
-  w.field("full_hits", mFullHits_->value());
-  w.field("artifact_hits", mArtifactHits_->value());
-  w.field("misses", mMisses_->value());
+  w.field("full_hits", paths_[kPathFull].jobs->value());
+  w.field("artifact_hits", paths_[kPathArtifact].jobs->value());
+  w.field("misses", paths_[kPathMiss].jobs->value());
   w.field("response_entries", static_cast<uint64_t>(responses_.size()));
   w.field("artifact_entries", static_cast<uint64_t>(artifacts_.size()));
   w.endObject();
@@ -351,12 +389,9 @@ HttpResponse TwillService::statsResponse() {
 void TwillService::runJob(uint64_t id) {
   mQueueDepth_->add(-1);
   mInFlight_->add(1);
-  // The in-flight decrement happens at each completion point *before*
-  // drainCv_ is notified, so after drain() the gauge is exactly zero (the
-  // concurrency test scrapes it right after draining).
 
   CompileRequest req;
-  std::shared_ptr<TraceRecorder> trace;
+  const uint64_t runStartUs = traceNowUs();
   uint64_t submitUs = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -366,48 +401,39 @@ void TwillService::runJob(uint64_t id) {
       return;
     }
     it->second.state = JobState::Running;
+    it->second.runStartUs = runStartUs;
     req = it->second.request;
-    trace = it->second.trace;
     submitUs = it->second.submitUs;
   }
 
-  // Per-job trace: the queued span is emitted retroactively now that it
-  // ended. The TraceScope makes the compile-stage spans land here, and
-  // cfg.trace (set on the sim paths) adds the cycle-stamped sim rows.
-  const uint64_t runStartUs = traceNowUs();
-  if (trace) {
-    trace->setProcessName(kTracePidServe, "twilld (wall us)");
-    trace->setThreadName(kTracePidServe, 0, "job " + std::to_string(id));
-    const TraceRecorder::StrId catJob = trace->intern("job");
-    trace->span(kTracePidServe, 0, catJob, trace->intern("queued"), submitUs, runStartUs);
-  }
+  // Per-job trace: the TraceScope makes the compile-stage spans land here,
+  // and cfg.trace (set on the sim paths) adds the cycle-stamped sim rows.
+  std::unique_ptr<TraceRecorder> trace;
+  if (!cfg_.traceDir.empty()) trace = std::make_unique<TraceRecorder>();
   TraceScope traceScope(trace.get());
-  // Closes the run span and writes the trace file. Every completion path
-  // calls it before publishing Done, so a client that sees the job done
-  // (or a drain() that returns) finds the file complete.
-  auto writeTrace = [&] {
-    if (!trace) return;
-    const TraceRecorder::StrId catJob = trace->intern("job");
-    trace->span(kTracePidServe, 0, catJob, trace->intern("run"), runStartUs, traceNowUs());
-    std::string error;  // best-effort: a full disk must not fail the job
-    trace->writeFile(cfg_.traceDir + "/job-" + std::to_string(id) + ".trace.json", error);
+  // Every completion path calls this before publishing Done: the trace file
+  // is complete, and the in-flight gauge is dropped before drainers are
+  // woken, so it reads exactly zero once drain() returns (the concurrency
+  // test scrapes it right after draining).
+  auto endRun = [&] {
+    if (trace) writeJobTrace(id, *trace, submitUs, runStartUs);
+    mInFlight_->add(-1);
   };
 
   const std::string fullKey = requestCacheKey(req);
   const std::string compileKey = compileCacheKey(req);
 
-  // Level 1: byte-identical repeat — serve the stored document.
+  // Level 1 again: an identical request may have finished while this one
+  // queued. Level 2 is looked up under the same lock, and a miss caches
+  // both levels together (finishJob), so an identical request is a full
+  // hit or a miss, never an artifact hit.
   std::optional<CachedResponse> fullHit;
   std::shared_ptr<CacheEntry> entry;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto hit = responses_.find(fullKey);
-    if (hit != responses_.end()) {
-      mFullHits_->inc();
-      responseUse_[fullKey] = ++useClock_;
-      fullHit = hit->second;
-    } else {
-      // Level 2 lookup happens under the same lock; the entry is used outside.
+    fullHit = lookupResponseLocked(fullKey);
+    if (!fullHit) {
+      // The entry is used outside the lock.
       auto ahit = artifacts_.find(compileKey);
       if (ahit != artifacts_.end() && ahit->second->source == req.source) {
         entry = ahit->second;
@@ -416,9 +442,9 @@ void TwillService::runJob(uint64_t id) {
     }
   }
   if (fullHit) {
-    writeTrace();
+    endRun();
     std::lock_guard<std::mutex> lock(mu_);
-    publishLocked(id, *fullHit);
+    publishLocked(id, *fullHit, kPathFull);
     return;
   }
 
@@ -442,9 +468,8 @@ void TwillService::runJob(uint64_t id) {
                                 : anchor;
       rep.name = req.name;
       rep.twillArtifacts.reset();
-      mArtifactHits_->inc();
-      writeTrace();
-      finishJob(id, fullKey, rep);
+      endRun();
+      finishJob(id, kPathArtifact, fullKey, rep);
       return;
     }
   }
@@ -454,7 +479,6 @@ void TwillService::runJob(uint64_t id) {
   run.options.keepTwillArtifacts =
       run.options.runTwill && !run.options.verifyOnly;
   BenchmarkReport rep = runCompileRequest(run);
-  mMisses_->inc();
   auto fresh = std::make_shared<CacheEntry>();
   fresh->source = req.source;
   fresh->anchor = rep;  // artifacts (if any) stay on the cached anchor
@@ -465,12 +489,32 @@ void TwillService::runJob(uint64_t id) {
   if (rep.twillArtifacts && rep.twillArtifacts->module)
     fresh->approxBytes += rep.twillArtifacts->module->arena().bytesReserved();
   rep.twillArtifacts.reset();  // the response/job copy does not need them
-  writeTrace();
-  finishJob(id, fullKey, rep, compileKey, std::move(fresh));
+  endRun();
+  finishJob(id, kPathMiss, fullKey, rep, compileKey, std::move(fresh));
 }
 
-void TwillService::finishJob(uint64_t id, const std::string& fullKey, const BenchmarkReport& rep,
-                             const std::string& compileKey, std::shared_ptr<CacheEntry> fresh) {
+std::optional<TwillService::CachedResponse> TwillService::lookupResponseLocked(
+    const std::string& fullKey) {
+  auto hit = responses_.find(fullKey);
+  if (hit == responses_.end()) return std::nullopt;
+  responseUse_[fullKey] = ++useClock_;
+  return hit->second;
+}
+
+void TwillService::writeJobTrace(uint64_t id, TraceRecorder& trace, uint64_t submitUs,
+                                 uint64_t runStartUs) const {
+  trace.setProcessName(kTracePidServe, "twilld (wall us)");
+  trace.setThreadName(kTracePidServe, 0, "job " + std::to_string(id));
+  const TraceRecorder::StrId catJob = trace.intern("job");
+  trace.span(kTracePidServe, 0, catJob, trace.intern("queued"), submitUs, runStartUs);
+  trace.span(kTracePidServe, 0, catJob, trace.intern("run"), runStartUs, traceNowUs());
+  std::string error;  // best-effort: a full disk must not fail the job
+  trace.writeFile(cfg_.traceDir + "/job-" + std::to_string(id) + ".trace.json", error);
+}
+
+void TwillService::finishJob(uint64_t id, CachePath path, const std::string& fullKey,
+                             const BenchmarkReport& rep, const std::string& compileKey,
+                             std::shared_ptr<CacheEntry> fresh) {
   CachedResponse resp;
   resp.kind = rep.ok ? FailureKind::None : rep.failureKind;
   resp.status = httpStatusForFailure(resp.kind);
@@ -483,28 +527,42 @@ void TwillService::finishJob(uint64_t id, const std::string& fullKey, const Benc
     fresh->lastUse = ++useClock_;
     artifacts_[compileKey] = std::move(fresh);
   }
-  publishLocked(id, resp);
+  publishLocked(id, resp, path);
   // Cache the response under the full key (the level-1 hit path).
   responses_[fullKey] = std::move(resp);
   responseUse_[fullKey] = ++useClock_;
   evictIfNeeded();
 }
 
-void TwillService::publishLocked(uint64_t id, const CachedResponse& resp) {
+void TwillService::publishLocked(uint64_t id, const CachedResponse& resp, CachePath path) {
   auto it = jobs_.find(id);
   if (it != jobs_.end()) {
     Job& job = it->second;
+    paths_[path].queueWaitUs->observe(job.runStartUs - job.submitUs);
+    paths_[path].runUs->observe(traceNowUs() - job.runStartUs);
     job.state = JobState::Done;
     job.ok = resp.kind == FailureKind::None;
     job.failureKind = resp.kind;
     job.httpStatus = resp.status;
     job.responseJson = resp.doc;
     job.request = CompileRequest();  // the source is no longer needed
-    job.trace.reset();               // runJob already wrote the file
+    ++doneJobs_;
   }
+  paths_[path].jobs->inc();
   countOutcome(resp.kind);
-  mInFlight_->add(-1);
-  drainCv_.notify_all();
+  // Bound the job table: drop the oldest completed jobs past the retention
+  // window (clients fetch promptly; an evicted id answers 404). Ids grow
+  // with submission, so the oldest are first and few unfinished jobs are
+  // skipped.
+  for (auto jt = jobs_.begin(); jt != jobs_.end() && doneJobs_ > cfg_.maxRetainedJobs;) {
+    if (jt->second.state == JobState::Done) {
+      jt = jobs_.erase(jt);
+      --doneJobs_;
+    } else {
+      ++jt;
+    }
+  }
+  doneCv_.notify_all();
 }
 
 size_t TwillService::cacheBytesLocked() const {
@@ -571,19 +629,6 @@ void TwillService::evictIfNeeded() {
     }
   }
   mCacheBytes_->set(static_cast<int64_t>(cacheBytesLocked()));
-  // Bound the job table: drop the oldest completed jobs past the retention
-  // window (clients fetch promptly; an evicted id answers 404).
-  size_t done = 0;
-  for (const auto& [jid, job] : jobs_)
-    if (job.state == JobState::Done) ++done;
-  for (auto it = jobs_.begin(); it != jobs_.end() && done > cfg_.maxRetainedJobs;) {
-    if (it->second.state == JobState::Done) {
-      it = jobs_.erase(it);
-      --done;
-    } else {
-      ++it;
-    }
-  }
 }
 
 }  // namespace twill

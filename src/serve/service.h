@@ -6,12 +6,16 @@
 // between sockets and this object.
 //
 // v1 endpoints:
-//   POST /v1/jobs           submit a CompileRequest document -> 202 {job_id}
+//   POST /v1/jobs           submit a CompileRequest document -> 202
+//                           {job_id, state}; a byte-identical repeat is
+//                           answered on the spot with state "done"
 //   GET  /v1/jobs/<id>      job state summary (queued | running | done)
 //   GET  /v1/jobs/<id>/report
-//                           the full report; 202 while the job is in
-//                           flight, else the failure-kind-mapped status
-//                           with the same document `twillc --json` prints
+//                           the full report, with the failure-kind-mapped
+//                           status and the same document `twillc --json`
+//                           prints. A poll of an unfinished job is held
+//                           until it finishes, up to a fixed bound, and
+//                           answers 202 if the bound passes first
 //   GET  /v1/stats          counters (cache hits/misses, failure kinds)
 //   GET  /v1/healthz        liveness probe
 //
@@ -23,7 +27,8 @@
 //
 // Caching: two levels, both keyed by src/driver/request.h.
 //   * Response cache (full request key): a byte-identical repeat request is
-//     answered with the stored report document — no compile, no sim.
+//     answered with the stored report document — no compile, no sim, and
+//     no wait in the worker queue: submit publishes it done.
 //   * Artifact cache (compile key): a request differing only in the
 //     Twill-only sim axes (queue capacity/latency, processors, sched
 //     quantum) re-simulates the cached compile's kept TwillArtifacts
@@ -38,6 +43,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -51,8 +57,8 @@
 namespace twill {
 
 struct ServiceConfig {
-  /// Worker threads executing jobs (>= 1; requests never run on the
-  /// server's accept thread).
+  /// Worker threads executing jobs (>= 1; compiles and simulations never
+  /// run on the server's accept loops).
   unsigned jobs = 1;
   /// Server-side ceilings. Requests can only tighten them: the effective
   /// per-request wall budget is min(request, server) (0 = unlimited) and
@@ -107,15 +113,16 @@ class TwillService {
   TwillService(const TwillService&) = delete;
   TwillService& operator=(const TwillService&) = delete;
 
-  /// Routes one request to the v1 API. Thread-safe (twilld's accept loop is
-  /// single-threaded, but tests drive this directly from several threads).
+  /// Routes one request to the v1 API. Thread-safe: twilld's accept loops
+  /// call it concurrently. A report poll of an unfinished job blocks the
+  /// calling thread for up to a fixed bound (see jobReport).
   HttpResponse handle(const HttpRequest& req);
 
   /// Snapshot of the counters (the /v1/stats payload, unserialized).
   ServiceStats stats() const;
 
   /// Blocks until every job submitted so far has completed. Test/shutdown
-  /// aid — the HTTP API only ever polls.
+  /// aid — over HTTP a report poll waits for one job, and only briefly.
   void drain();
 
  private:
@@ -125,16 +132,13 @@ class TwillService {
     uint64_t id = 0;
     CompileRequest request;
     JobState state = JobState::Queued;
+    uint64_t submitUs = 0;    // traceNowUs() at submission
+    uint64_t runStartUs = 0;  // ... when a worker (or submit's full hit) took it
     // Filled at completion:
     bool ok = false;
     FailureKind failureKind = FailureKind::None;
     int httpStatus = 0;
     std::string responseJson;  // reportToJson document
-    // Per-job trace capture (ServiceConfig::traceDir): recorder created at
-    // submission so the queued span starts at the true enqueue time; the
-    // worker writes the file before it publishes Done, then drops it.
-    std::shared_ptr<TraceRecorder> trace;
-    uint64_t submitUs = 0;
   };
 
   /// One response-cache entry: everything a full hit publishes, stored as
@@ -161,6 +165,10 @@ class TwillService {
     std::mutex mu;
   };
 
+  /// The cache level that answered a job: labels the per-path cache
+  /// counter and job-time histograms.
+  enum CachePath : unsigned { kPathFull = 0, kPathArtifact, kPathMiss, kNumPaths };
+
   /// Endpoint classes for the per-endpoint request counters / latency
   /// histograms (kOther collects unknown paths so every request is counted).
   enum Endpoint : unsigned {
@@ -181,12 +189,23 @@ class TwillService {
   HttpResponse statsResponse();
   HttpResponse metricsResponse();
   void runJob(uint64_t id);
+  /// Level 1 of the cache, shared by submitJob and runJob: the stored
+  /// response for `fullKey`, marked used. Callers hold mu_.
+  std::optional<CachedResponse> lookupResponseLocked(const std::string& fullKey);
+  /// Writes job `id`'s trace file: its queued and run spans, plus whatever
+  /// the run recorded into `trace`. Every path calls it before publishing
+  /// Done, so a client that sees the job done finds the file complete.
+  void writeJobTrace(uint64_t id, TraceRecorder& trace, uint64_t submitUs,
+                     uint64_t runStartUs) const;
   /// Publishes the job's report and caches it under `fullKey`; a miss also
   /// passes its `fresh` compile entry, cached under `compileKey` in the same
   /// critical section.
-  void finishJob(uint64_t id, const std::string& fullKey, const BenchmarkReport& rep,
-                 const std::string& compileKey = {}, std::shared_ptr<CacheEntry> fresh = {});
-  void publishLocked(uint64_t id, const CachedResponse& resp);  // callers hold mu_
+  void finishJob(uint64_t id, CachePath path, const std::string& fullKey,
+                 const BenchmarkReport& rep, const std::string& compileKey = {},
+                 std::shared_ptr<CacheEntry> fresh = {});
+  /// Marks the job Done with `resp`, counts it under its cache path and
+  /// outcome, and wakes every waiter. Callers hold mu_.
+  void publishLocked(uint64_t id, const CachedResponse& resp, CachePath path);
   void evictIfNeeded();  // callers hold mu_
   size_t cacheBytesLocked() const;  // callers hold mu_
   void countOutcome(FailureKind kind);
@@ -196,6 +215,7 @@ class TwillService {
   uint64_t nextJobId_ = 1;
   uint64_t useClock_ = 0;  // LRU tick
   std::map<uint64_t, Job> jobs_;
+  size_t doneJobs_ = 0;  // jobs_ entries in state Done
   // Response cache: full request key -> (status, failure kind, document).
   std::unordered_map<std::string, CachedResponse> responses_;
   std::unordered_map<std::string, uint64_t> responseUse_;
@@ -210,9 +230,6 @@ class TwillService {
   Counter* mSubmitted_;
   Counter* mCompleted_;
   Counter* mRejected_;
-  Counter* mFullHits_;
-  Counter* mArtifactHits_;
-  Counter* mMisses_;
   Counter* mEvictResponse_;
   Counter* mEvictArtifact_;
   Counter* mOutcome_[5];  // indexed by FailureKind order: none..resource
@@ -228,7 +245,19 @@ class TwillService {
     Histogram* latencyUs;
   };
   EndpointMetrics endpoints_[kNumEndpoints];
-  std::condition_variable drainCv_;
+  /// Per cache path: its cache counter (hits by level, or misses), the time
+  /// its jobs waited for a worker, and their run time. Counted together when
+  /// a job is published, so after a drain each histogram's count equals the
+  /// path's counter.
+  struct PathMetrics {
+    Counter* jobs;
+    Histogram* queueWaitUs;
+    Histogram* runUs;
+  };
+  PathMetrics paths_[kNumPaths];
+  /// Notified whenever a job is published Done: drain() and held report
+  /// polls wait on it.
+  std::condition_variable doneCv_;
   // Last member: workers touch everything above, so they must die first.
   std::unique_ptr<WorkerPool> pool_;
 };

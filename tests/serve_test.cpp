@@ -6,6 +6,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -153,6 +154,22 @@ uint64_t promValue(const std::string& text, const std::string& series) {
   return UINT64_MAX;
 }
 
+/// Each cache path's job-time histograms count exactly the jobs its cache
+/// counter counts (every published job lands in one path's counter and both
+/// of its histograms).
+void expectJobHistogramsMatchCacheCounters(const std::string& text) {
+  const std::pair<const char*, std::string> paths[] = {
+      {"full", "twilld_cache_hits_total{level=\"full\"}"},
+      {"artifact", "twilld_cache_hits_total{level=\"artifact\"}"},
+      {"miss", "twilld_cache_misses_total"}};
+  for (const auto& [path, counter] : paths) {
+    const uint64_t jobs = promValue(text, counter);
+    const std::string label = std::string("{path=\"") + path + "\"}";
+    EXPECT_EQ(promValue(text, "twilld_job_queue_wait_us_count" + label), jobs) << path;
+    EXPECT_EQ(promValue(text, "twilld_job_run_us_count" + label), jobs) << path;
+  }
+}
+
 // --- HTTP parser ------------------------------------------------------------
 
 TEST(HttpParserTest, ParsesRequestLineHeadersAndBody) {
@@ -203,15 +220,56 @@ TEST(ServeTest, SubmitPollFetchLifecycle) {
 TEST(ServeTest, RepeatRequestIsAnsweredFromTheResponseCache) {
   TwillService svc{ServiceConfig{}};
   HttpResponse first = submitAndFetch(svc, sourceRequest(kQuickProgram));
-  HttpResponse second = submitAndFetch(svc, sourceRequest(kQuickProgram));
   ASSERT_EQ(first.status, 200);
+
+  // The repeat is answered at submit: done before the 202 returns, with no
+  // drain() and no trip through the worker queue.
+  HttpResponse sub = svc.handle(post("/v1/jobs", sourceRequest(kQuickProgram)));
+  ASSERT_EQ(sub.status, 202) << sub.body;
+  EXPECT_NE(sub.body.find("\"job_id\": 2"), std::string::npos) << sub.body;
+  EXPECT_NE(sub.body.find("\"state\": \"done\""), std::string::npos) << sub.body;
+  twill::ServiceStats s = svc.stats();
+  EXPECT_EQ(s.submitted, 2u);
+  EXPECT_EQ(s.completed, 2u);
+  const std::string text = svc.handle(get("/v1/metrics")).body;
+  EXPECT_EQ(promValue(text, "twilld_pool_queue_depth"), 0u) << text;
+  EXPECT_EQ(promValue(text, "twilld_pool_in_flight"), 0u) << text;
+  EXPECT_EQ(promValue(text, "twilld_job_queue_wait_us_bucket{path=\"full\",le=\"1\"}"), 1u)
+      << "a full hit never waits for a worker";
+
   // The cached answer is the stored document: byte-identical, wall times
   // included (nothing re-ran).
+  HttpResponse second = svc.handle(get("/v1/jobs/2/report"));
+  EXPECT_EQ(second.status, 200);
   EXPECT_EQ(first.body, second.body);
-  twill::ServiceStats s = svc.stats();
+  s = svc.stats();
   EXPECT_EQ(s.cacheMisses, 1u);
   EXPECT_EQ(s.cacheFullHits, 1u);
   EXPECT_EQ(s.cacheArtifactHits, 0u);
+}
+
+TEST(ServeTest, ReportWaitsForAnInFlightJob) {
+  TwillService svc{ServiceConfig{}};
+  HttpResponse sub = svc.handle(post("/v1/jobs", sourceRequest(kQuickProgram)));
+  ASSERT_EQ(sub.status, 202) << sub.body;
+  EXPECT_NE(sub.body.find("\"state\": \"queued\""), std::string::npos) << sub.body;
+  // No drain(): the poll itself is held until the miss finishes.
+  HttpResponse report = svc.handle(get("/v1/jobs/1/report"));
+  EXPECT_EQ(report.status, 200) << report.body;
+  EXPECT_NE(report.body.find("\"schema_version\": 1"), std::string::npos) << report.body;
+  EXPECT_NE(report.body.find("\"cycles\""), std::string::npos) << report.body;
+}
+
+TEST(ServeTest, JobTableKeepsOnlyTheNewestCompletedJobs) {
+  ServiceConfig cfg;
+  cfg.maxRetainedJobs = 2;
+  TwillService svc{cfg};
+  // A miss, then two repeats answered from the response cache: every
+  // completion path counts against the retention window.
+  for (int i = 0; i < 3; ++i) (void)submitAndDrain(svc, sourceRequest(kQuickProgram));
+  EXPECT_EQ(svc.handle(get("/v1/jobs/1")).status, 404);
+  EXPECT_EQ(svc.handle(get("/v1/jobs/2")).status, 200);
+  EXPECT_EQ(svc.handle(get("/v1/jobs/3/report")).status, 200);
 }
 
 TEST(ServeTest, SimAxisChangeReusesTheCachedCompile) {
@@ -222,6 +280,7 @@ TEST(ServeTest, SimAxisChangeReusesTheCachedCompile) {
   twill::ServiceStats s = warm.stats();
   EXPECT_EQ(s.cacheMisses, 1u);
   EXPECT_EQ(s.cacheArtifactHits, 1u) << "sim-only change should not recompile";
+  expectJobHistogramsMatchCacheCounters(warm.handle(get("/v1/metrics")).body);
 
   // The reuse path must be invisible in the report: a cold service running
   // the same request from scratch produces the identical document.
@@ -445,6 +504,7 @@ TEST(ServeTest, MetricsStayExactUnderConcurrentSubmissions) {
   EXPECT_EQ(promValue(text, "twilld_cache_misses_total") +
                 promValue(text, "twilld_cache_hits_total{level=\"full\"}"),
             kTotal);
+  expectJobHistogramsMatchCacheCounters(text);
 
   // Histogram buckets are cumulative: counts must be monotone in le order.
   const std::string prefix = "twilld_http_request_duration_us_bucket{endpoint=\"/v1/jobs\",";
@@ -483,8 +543,8 @@ TEST(ServeTest, TraceDirWritesOneTracePerJob) {
 
 // --- real-socket server -----------------------------------------------------
 
-/// One HTTP exchange over a real socket: connect, write `raw`, read to EOF.
-std::string httpExchange(uint16_t port, const std::string& raw) {
+/// A raw client connection to the loopback server on `port`.
+int connectTo(uint16_t port) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
   sockaddr_in addr{};
@@ -492,18 +552,34 @@ std::string httpExchange(uint16_t port, const std::string& raw) {
   addr.sin_port = htons(port);
   inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
   EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  return fd;
+}
+
+std::string readToEof(int fd) {
+  std::string out;
+  char buf[4096];
+  ssize_t n;
+  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) out.append(buf, static_cast<size_t>(n));
+  return out;
+}
+
+/// One HTTP exchange over a real socket: connect, write `raw`, read to EOF.
+std::string httpExchange(uint16_t port, const std::string& raw) {
+  const int fd = connectTo(port);
   size_t off = 0;
   while (off < raw.size()) {
     ssize_t n = ::send(fd, raw.data() + off, raw.size() - off, MSG_NOSIGNAL);
     if (n <= 0) break;
     off += static_cast<size_t>(n);
   }
-  std::string out;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) out.append(buf, static_cast<size_t>(n));
+  std::string out = readToEof(fd);
   ::close(fd);
   return out;
+}
+
+int64_t msSince(std::chrono::steady_clock::time_point t0) {
+  using namespace std::chrono;
+  return duration_cast<milliseconds>(steady_clock::now() - t0).count();
 }
 
 std::string rawPost(const std::string& target, const std::string& body) {
@@ -562,6 +638,45 @@ TEST(HttpServerTest, OversizedAndMalformedRequestsAreRejectedAtTheSocket) {
   // The server survives all of the above and still serves.
   resp = httpExchange(rs.server.port(), "GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n");
   EXPECT_NE(resp.find("HTTP/1.1 200 OK"), std::string::npos) << resp;
+}
+
+TEST(HttpServerTest, StalledClientDoesNotDelayOthers) {
+  TwillService svc{ServiceConfig{}};
+  RunningServer rs{twill::HttpServerConfig{}, svc};
+  // Part of a request head, then silence: this connection is held until
+  // the 10 s request deadline.
+  const int stalled = connectTo(rs.server.port());
+  EXPECT_EQ(::send(stalled, "GET /v1/he", 10, MSG_NOSIGNAL), 10);
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::string resp =
+      httpExchange(rs.server.port(), "GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+  const int64_t ms = msSince(t0);
+  EXPECT_NE(resp.find("HTTP/1.1 200 OK"), std::string::npos) << resp;
+  EXPECT_LT(ms, 1000) << "healthz waited behind the stalled client";
+  ::close(stalled);  // frees its accept loop, so the server stops promptly
+}
+
+TEST(HttpServerTest, TricklingClientGets408AtTheRequestDeadline) {
+  TwillService svc{ServiceConfig{}};
+  twill::HttpServerConfig cfg;
+  cfg.socketTimeoutSec = 1;
+  RunningServer rs{cfg, svc};
+  // One header byte every 200 ms: every read succeeds, so only a deadline
+  // on the whole request ends the connection.
+  const int fd = connectTo(rs.server.port());
+  const std::string head = "GET /v1/healthz HTTP/1.1\r\nX-Slow: ";
+  const auto t0 = std::chrono::steady_clock::now();
+  std::string resp;
+  for (size_t i = 0; resp.empty() && msSince(t0) < 3000; ++i) {
+    const char c = i < head.size() ? head[i] : 'z';
+    (void)::send(fd, &c, 1, MSG_NOSIGNAL);
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, 200) > 0) resp = readToEof(fd);
+  }
+  const int64_t ms = msSince(t0);
+  ::close(fd);
+  EXPECT_NE(resp.find("HTTP/1.1 408 "), std::string::npos) << resp;
+  EXPECT_LT(ms, 2000);
 }
 
 // --- twilld end to end ------------------------------------------------------

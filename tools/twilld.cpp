@@ -10,7 +10,7 @@
 //   $ curl -s -X POST http://127.0.0.1:8080/v1/jobs -d @request.json
 //   {"job_id": 1, "state": "queued"}
 //
-// SIGINT/SIGTERM stop the accept loop; in-flight jobs finish before the
+// SIGINT/SIGTERM stop the accept loops; in-flight jobs finish before the
 // process exits 0. Sharding note: every cache key starts with the source
 // hash (src/driver/request.h), so a front-end can shard requests across
 // daemon processes by that prefix without splitting any cache's hot set.

@@ -32,6 +32,7 @@
 #include "src/chstone/kernels.h"
 #include "src/driver/driver.h"
 #include "src/explore/pool.h"
+#include "src/explore/space.h"
 #include "src/obs/trace.h"
 #include "src/support/json.h"
 
@@ -71,12 +72,16 @@ BenchCli parseBenchCli(int argc, char** argv) {
       return argv[++i];
     };
     auto positiveCount = [&](const char* flag) {
-      const int n = std::atoi(needValue(flag));
-      if (n < 1) {
-        std::fprintf(stderr, "%s: %s wants a positive count\n", argv[0], flag);
+      // The explorer's axis parser, held to one value: strict decimal, no
+      // trailing text, 1..UINT_MAX.
+      const char* text = needValue(flag);
+      std::vector<unsigned> n;
+      std::string error;
+      if (!parseUnsignedAxis(text, /*allowZero=*/false, n, error) || n.size() != 1) {
+        std::fprintf(stderr, "%s: %s wants a positive count, got '%s'\n", argv[0], flag, text);
         std::exit(2);
       }
-      return static_cast<unsigned>(n);
+      return n[0];
     };
     if (arg == "--quick") {
       cli.quick = true;

@@ -318,6 +318,17 @@ const char* failureKindName(FailureKind k) {
   return "none";
 }
 
+int exitCodeFor(FailureKind k) {
+  switch (k) {
+    case FailureKind::None: return 0;
+    case FailureKind::Compile: return 1;
+    case FailureKind::Verify: return 3;
+    case FailureKind::Sim: return 4;
+    case FailureKind::Resource: return 5;
+  }
+  return 1;
+}
+
 void computePower(BenchmarkReport& rep) {
   PowerInputs swIn;
   swIn.luts = PrimitiveAreas::kMicroblazeLuts;

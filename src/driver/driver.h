@@ -71,6 +71,10 @@ enum class FailureKind : uint8_t { None, Compile, Verify, Sim, Resource };
 /// reports.
 const char* failureKindName(FailureKind k);
 
+/// The CLI exit code for a run that ended in `k`: 0, 1, 3, 4 or 5 as listed
+/// above. A more severe failure has a lower nonzero code.
+int exitCodeFor(FailureKind k);
+
 /// The compiled products of the Twill flow, retained on request.
 struct TwillArtifacts {
   std::unique_ptr<Module> module;  // extracted module (dswp points into it)

@@ -1,7 +1,5 @@
 #include "src/exec/decoded.h"
 
-#include <cassert>
-
 #include "src/exec/superblock.h"
 #include "src/ir/eval.h"
 #include "src/ir/printer.h"
@@ -300,16 +298,6 @@ ExecState::ExecState(DecodedProgram& prog, Memory& mem, ChannelIO& chans, Functi
   start(f, args);
 }
 
-ExecState::ExecState(Module& m, const Layout& layout, Memory& mem, ChannelIO& chans, Function* f,
-                     std::vector<uint32_t> args)
-    : owned_(std::make_unique<DecodedProgram>(m, layout)),
-      prog_(*owned_),
-      mem_(mem),
-      chans_(chans),
-      name_(f->name()) {
-  start(f, args);
-}
-
 void ExecState::start(Function* f, std::vector<uint32_t>& args) {
   const DecodedFunction& df = prog_.get(f);
   Frame fr;
@@ -361,6 +349,18 @@ StepResult ExecState::trap(std::string msg) {
   return {StepStatus::Trapped, Opcode::Add, nullptr};
 }
 
+namespace {
+
+/// Runs exactly one record through the trace runner: every op ends the run.
+struct OneOpModel {
+  bool begin() const { return true; }
+  bool end(const SuperOp&) { return false; }
+  bool endTerm(const DecodedInst&) { return false; }
+  void endFinish(const DecodedInst&) {}
+};
+
+}  // namespace
+
 StepResult ExecState::step() {
   // trap() clears the frame stack, so one emptiness test covers both ends.
   if (frames_.empty())
@@ -369,201 +369,56 @@ StepResult ExecState::step() {
   Frame& fr = frames_.back();
   const DecodedFunction& df = *fr.fn;
   const DecodedInst& d = df.insts[fr.pc];
-
-  uint32_t* slots = slots_.data() + fr.base;
   const Opcode op = d.op;
-  auto A = [&]() { return slots[d.a]; };
-  auto B = [&]() { return slots[d.b]; };
-  auto C = [&]() { return slots[d.c]; };
-  auto ranOk = [&]() -> StepResult {
-    ++retired_;
-    return {StepStatus::Ran, op, &d};
-  };
 
-  // One switch, one dispatch. Straight-line arms compute `result` and break
-  // to the shared write-back tail; control flow and the (possibly blocking)
-  // Twill operations return from their arm. The eval helpers are inline and
-  // called with a constant opcode, so each arm compiles down to the bare
-  // operation.
-  uint32_t result = 0;
-  switch (op) {
-#define TWILL_BIN(OP) \
-  case Opcode::OP:    \
-    result = evalBinary(Opcode::OP, A(), B(), d.evalBits); \
-    break;
-    TWILL_BIN(Add)
-    TWILL_BIN(Sub)
-    TWILL_BIN(Mul)
-    TWILL_BIN(SDiv)
-    TWILL_BIN(UDiv)
-    TWILL_BIN(SRem)
-    TWILL_BIN(URem)
-    TWILL_BIN(And)
-    TWILL_BIN(Or)
-    TWILL_BIN(Xor)
-    TWILL_BIN(Shl)
-    TWILL_BIN(LShr)
-    TWILL_BIN(AShr)
-#undef TWILL_BIN
-#define TWILL_CMP(OP) \
-  case Opcode::OP:    \
-    result = evalCompare(Opcode::OP, A(), B(), d.evalBits); \
-    break;
-    TWILL_CMP(CmpEQ)
-    TWILL_CMP(CmpNE)
-    TWILL_CMP(CmpSLT)
-    TWILL_CMP(CmpSLE)
-    TWILL_CMP(CmpSGT)
-    TWILL_CMP(CmpSGE)
-    TWILL_CMP(CmpULT)
-    TWILL_CMP(CmpULE)
-    TWILL_CMP(CmpUGT)
-    TWILL_CMP(CmpUGE)
-#undef TWILL_CMP
-    case Opcode::ZExt:
-      result = evalCast(Opcode::ZExt, A(), d.evalBits, d.auxBits);
-      break;
-    case Opcode::SExt:
-      result = evalCast(Opcode::SExt, A(), d.evalBits, d.auxBits);
-      break;
-    case Opcode::Trunc:
-      result = evalCast(Opcode::Trunc, A(), d.evalBits, d.auxBits);
-      break;
-    case Opcode::Select:
-      result = (A() & 1u) ? B() : C();
-      break;
-    case Opcode::PtrToInt:
-    case Opcode::IntToPtr:
-    case Opcode::Alloca:
-      result = A();
-      break;
-    case Opcode::Load:
-      if (!mem_.inRange(A(), d.accessBytes))
-        return trap(memOutOfRangeMessage(A(), d.accessBytes, mem_.size()));
-      result = mem_.load(A(), d.accessBytes);
-      break;
-    case Opcode::Store:
-      if (!mem_.inRange(B(), d.accessBytes))
-        return trap(memOutOfRangeMessage(B(), d.accessBytes, mem_.size()));
-      mem_.store(B(), d.accessBytes, A());
-      break;
-    case Opcode::Gep: {
-      int32_t sidx = signExtend(B(), d.auxBits);
-      result = A() + static_cast<uint32_t>(sidx) * d.scale;
-      break;
-    }
-
-    // --- Control flow -------------------------------------------------------
-    case Opcode::Br: {
-      if (!takeEdge(fr, df, d.edge0)) return {StepStatus::Trapped, op, &d};
-      return ranOk();
-    }
-    case Opcode::CondBr: {
-      uint32_t cond = A() & 1u;
-      if (!takeEdge(fr, df, cond ? d.edge0 : d.edge1))
-        return {StepStatus::Trapped, op, &d};
-      return ranOk();
-    }
-    case Opcode::Switch: {
-      uint32_t v = maskToBits(A(), d.evalBits);
-      uint32_t edge = d.edge0;  // default
-      const DecodedCase* cs = df.cases.data() + d.caseBegin;
-      for (uint32_t i = 0; i < d.caseCount; ++i) {
-        if (cs[i].value == v) {
-          edge = cs[i].edge;
-          break;
-        }
-      }
-      if (!takeEdge(fr, df, edge)) return {StepStatus::Trapped, op, &d};
-      return ranOk();
-    }
-    case Opcode::Ret: {
-      uint32_t rv = (d.flags & DecodedInst::kRetHasValue) ? A() : 0;
-      const Frame popped = fr;
-      frames_.pop_back();  // slots_ keeps its high-water size; Call re-fills
-      if (frames_.empty()) {
-        result_ = rv;
-        ++retired_;
+  // Every op the trace runner handles runs there, as a one-op trace: its
+  // handlers are the only implementation of those opcodes.
+  if (df.sops[fr.pc].kind != SuperOp::kSlow) {
+    OneOpModel one;
+    switch (runSuper(one)) {
+      case SuperRunStatus::kFinished:
         return {StepStatus::Finished, op, &d};
-      }
-      Frame& caller = frames_.back();
-      if (popped.wantRet)
-        slots_[caller.base + popped.retSlot] = rv & popped.retMask;
-      ++caller.pc;
-      ++retired_;
-      return {StepStatus::Ran, op, &d};
+      case SuperRunStatus::kTrapped:
+        return {StepStatus::Trapped, op, &d};
+      default:
+        return {StepStatus::Ran, op, &d};
     }
-    case Opcode::Call: {
-      if (frames_.size() > 512) return trap("call depth exceeded (recursion is unsupported)");
-      const DecodedFunction* callee = d.callee;
-      const uint32_t newBase = fr.base + df.frameSlots;
-      if (slots_.size() < newBase + callee->frameSlots)
-        slots_.resize(newBase + callee->frameSlots);
-      std::fill(slots_.begin() + newBase, slots_.begin() + newBase + callee->numSlots, 0);
-      std::copy(callee->constPool.begin(), callee->constPool.end(),
-                slots_.begin() + newBase + callee->numSlots);
-      uint32_t* callerSlots = slots_.data() + fr.base;  // re-read after resize
-      const uint32_t* args = df.callArgs.data() + d.argBegin;
-      const uint32_t nCopy = d.argCount < callee->numSlots ? d.argCount : callee->numSlots;
-      for (uint32_t i = 0; i < nCopy; ++i) slots_[newBase + i] = callerSlots[args[i]];
-      Frame nf;
-      nf.fn = callee;
-      nf.pc = callee->entryPc;
-      nf.base = newBase;
-      nf.retSlot = d.resSlot;
-      nf.retMask = d.resMask;
-      nf.wantRet = (d.flags & DecodedInst::kHasResult) != 0;
-      frames_.push_back(nf);
-      ++retired_;
-      return {StepStatus::Ran, op, &d};
-    }
+  }
 
-    // --- Blocking Twill operations (may leave state unchanged) --------------
-    // `fastPort_` is a constant per engine, so the selects below are fully
-    // predictable, and the ThreadPort calls devirtualize and inline.
-    case Opcode::Produce: {
-      const bool ok = fastPort_ ? fastPort_->tryProduce(d.channel, A())
-                                : chans_.tryProduce(d.channel, A());
-      if (!ok) return {StepStatus::Blocked, op, &d};
-      ++fr.pc;
-      return ranOk();
-    }
+  // Blocking Twill operations (a blocked attempt leaves the state
+  // unchanged). `fastPort_` is a constant per engine, so the selects below
+  // are fully predictable, and the ThreadPort calls devirtualize and inline.
+  uint32_t* slots = slots_.data() + fr.base;
+  bool ok;
+  switch (op) {
+    case Opcode::Produce:
+      ok = fastPort_ ? fastPort_->tryProduce(d.channel, slots[d.a])
+                     : chans_.tryProduce(d.channel, slots[d.a]);
+      break;
     case Opcode::Consume: {
       uint32_t v;
-      const bool ok =
-          fastPort_ ? fastPort_->tryConsume(d.channel, v) : chans_.tryConsume(d.channel, v);
-      if (!ok) return {StepStatus::Blocked, op, &d};
-      slots[d.resSlot] = v & d.resMask;
-      ++fr.pc;
-      return ranOk();
+      ok = fastPort_ ? fastPort_->tryConsume(d.channel, v) : chans_.tryConsume(d.channel, v);
+      if (ok) slots[d.resSlot] = v & d.resMask;
+      break;
     }
-    case Opcode::SemRaise: {
-      const bool ok = fastPort_ ? fastPort_->trySemRaise(d.channel, A())
-                                : chans_.trySemRaise(d.channel, A());
-      if (!ok) return {StepStatus::Blocked, op, &d};
-      ++fr.pc;
-      return ranOk();
-    }
-    case Opcode::SemLower: {
-      const bool ok = fastPort_ ? fastPort_->trySemLower(d.channel, A())
-                                : chans_.trySemLower(d.channel, A());
-      if (!ok) return {StepStatus::Blocked, op, &d};
-      ++fr.pc;
-      return ranOk();
-    }
-
-    case Opcode::Phi:
+    case Opcode::SemRaise:
+      ok = fastPort_ ? fastPort_->trySemRaise(d.channel, slots[d.a])
+                     : chans_.trySemRaise(d.channel, slots[d.a]);
+      break;
+    case Opcode::SemLower:
+      ok = fastPort_ ? fastPort_->trySemLower(d.channel, slots[d.a])
+                     : chans_.trySemLower(d.channel, slots[d.a]);
+      break;
     default:
       // Decode-time poisoned records (unmapped address, malformed block,
-      // genuinely unhandled opcode) are dispatched here with op == Phi so
-      // the hot path needs no per-step poison test.
+      // genuinely unhandled opcode) carry op == Phi.
       if (d.trapMsg >= 0) return trap(df.trapMessages[static_cast<size_t>(d.trapMsg)]);
       return trap(std::string("unhandled opcode ") + opcodeName(op));
   }
-
-  if (d.flags & DecodedInst::kHasResult) slots[d.resSlot] = result & d.resMask;
+  if (!ok) return {StepStatus::Blocked, op, &d};
   ++fr.pc;
-  return ranOk();
+  ++retired_;
+  return {StepStatus::Ran, op, &d};
 }
 
 }  // namespace twill

@@ -9,14 +9,18 @@
 // operand slot indices or inline constant immediates, pre-folded
 // global/alloca addresses, pre-resolved branch-target pcs with phi copy
 // lists, and the pre-computed Microblaze cycle cost and HLS per-block FSM
-// cycles. The per-step inner loop becomes a switch over a packed struct
-// with zero hash lookups and zero kind branching.
+// cycles. Execution then reads packed records with zero hash lookups and
+// zero kind branching.
 //
 // ExecState here is the production engine behind the step() interface every
 // caller already uses; all four execution engines (golden Interp,
 // PipelineInterp, the CPU model and the HLS executors in src/sim) run on
-// it. Decoding snapshots the IR: rebuild the DecodedProgram after any
-// transform (engines built per run do this naturally).
+// it. Each opcode has one implementation: the trace runner's handlers
+// (ExecState::runSuper, src/exec/superblock.h). step() runs one op as a
+// one-op trace through them; only the channel operations and poisoned
+// records have arms of their own. Decoding snapshots the IR: rebuild the
+// DecodedProgram after any transform (engines built per run do this
+// naturally).
 #pragma once
 
 #include <cstdint>
@@ -204,19 +208,19 @@ public:
   /// Shares a decode cache (one per simulation; threads share it).
   ExecState(DecodedProgram& prog, Memory& mem, ChannelIO& chans, Function* f,
             std::vector<uint32_t> args = {});
-  /// Convenience: owns a private decode cache (functional single-use runs).
-  ExecState(Module& m, const Layout& layout, Memory& mem, ChannelIO& chans, Function* f,
-            std::vector<uint32_t> args = {});
 
-  /// Executes one instruction (or blocks). Cheap to call repeatedly.
+  /// Executes one instruction (or blocks), returning its status with the
+  /// executed record. Any op runSuper handles runs through the trace runner
+  /// as a one-op trace; step() itself performs only the channel operations
+  /// (the one place an op can block) and traps on poisoned records.
   StepResult step();
 
   /// Superblock tier: executes straight-line runs, fused branches, calls
   /// and returns back-to-back under a caller-supplied cost model, returning
   /// only at a channel operation, a poisoned record, a trap, completion, or
-  /// when the model stops the run. Semantics (including retired counts and
-  /// the order of every state mutation) are identical to repeated step()
-  /// calls. Defined in src/exec/superblock.h; include it to instantiate.
+  /// when the model stops the run. A run may stop at any op boundary;
+  /// resuming with runSuper or step() continues exactly where it stopped.
+  /// Defined in src/exec/superblock.h; include it to instantiate.
   template <class Model>
   SuperRunStatus runSuper(Model& model);
 
@@ -268,7 +272,6 @@ private:
   bool takeEdge(Frame& fr, const DecodedFunction& df, uint32_t edgeIdx);
   StepResult trap(std::string msg);
 
-  std::unique_ptr<DecodedProgram> owned_;  // set by the convenience ctor
   DecodedProgram& prog_;
   Memory& mem_;
   ChannelIO& chans_;

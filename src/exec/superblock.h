@@ -1,21 +1,20 @@
 // Superblock/trace execution tier.
 //
-// The pre-decoded engine (src/exec/decoded.h) still pays one full dispatch
-// per instruction: a step() call, a switch whose single indirect branch
-// sits at the eIBRS misprediction floor, a 16-byte StepResult, and a frame
-// re-load — ~13 ns/step of pure dispatch on the reference box. This tier
-// amortizes all of it: buildSuperOps compiles every DecodedInst into a
-// compact 32-byte SuperOp whose `kind` byte is a dispatch code, and the
-// trace runner below streams those records without ever returning to the
-// caller — straight-line runs execute under direct-threaded dispatch (each
-// handler ends in its own indirect branch, so the BTB learns each site's
-// successor instead of one shared mispredicting site), unconditional
-// branches are fused `kJump` records that chain fall-through blocks (phi
-// copies included) into one trace, and calls/returns just swap the frame
-// window and keep running. The runner leaves the loop only for a channel
-// operation or a poisoned record (`kSlow` — the per-inst step() interaction
-// path), a trap, program completion, or when the caller's cost model says
-// stop.
+// The trace runner below is the engine's one implementation of every
+// opcode except the channel operations. ExecState::step() runs a single op
+// through it as a one-op trace, paying a call, a 16-byte StepResult and a
+// frame re-load per instruction; a long run amortizes all of that.
+// buildSuperOps compiles every DecodedInst into a compact 32-byte SuperOp
+// whose `kind` byte is a dispatch code, and the runner streams those
+// records without returning to the caller — straight-line runs execute
+// under direct-threaded dispatch (each handler ends in its own indirect
+// branch, so the BTB learns each site's successor instead of one shared
+// mispredicting site), unconditional branches are fused `kJump` records
+// that chain fall-through blocks (phi copies included) into one trace, and
+// calls/returns just swap the frame window and keep running. The runner
+// leaves the loop only for a channel operation or a poisoned record
+// (`kSlow` — step()'s own arms), a trap, program completion, or when the
+// caller's cost model says stop.
 //
 // Cost models parameterize the runner so every engine keeps its exact
 // accounting: the functional engines count step attempts, and the
@@ -172,8 +171,7 @@ SuperRunStatus ExecState::runSuper(Model& model) {
 
       // --- Straight-line handlers ------------------------------------------
       // Every op here provably has a result except Store, so the write-back
-      // is unconditional (mirrors step()'s kHasResult flag, which is always
-      // set for these opcodes).
+      // is unconditional.
 
 #define TWILL_SUPER_BIN(OP)                                                               \
   TWILL_SUPER_LABEL_OP(OP) {                                                              \
@@ -263,7 +261,7 @@ SuperRunStatus ExecState::runSuper(Model& model) {
         TWILL_SUPER_PRE();
         if (!mem_.inRange(slots[so.a], so.accessBytes)) {
           // trap() clears the frame stack, so no pc write-back is needed; the
-          // trapped op is not counted as retired, matching step().
+          // trapped op is not counted as retired.
           trap(memOutOfRangeMessage(slots[so.a], so.accessBytes, mem_.size()));
           TWILL_SUPER_STOP(kTrapped);
         }
@@ -293,8 +291,7 @@ SuperRunStatus ExecState::runSuper(Model& model) {
       }
 
       // --- Block exits -----------------------------------------------------
-      // Semantics identical to ExecState::step()'s control-flow arms; the
-      // cold fields come from the full DecodedInst record.
+      // The cold fields come from the full DecodedInst record.
 
       TWILL_SUPER_LABEL_KIND(kJump) {
         const SuperOp& so = sops[pc];

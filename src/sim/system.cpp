@@ -520,12 +520,8 @@ SimOutcome simulatePure(Module& m, const ScheduleMap* schedules, const SimConfig
 
 }  // namespace
 
-SimProgram::SimProgram(Module& m, const ScheduleMap& schedules) {
-  Memory scratch(Memory::kDefaultSize);
-  // A module that does not fit leaves `prog` null (and `layout.ok` false);
-  // simulateTwill reports the breach instead of decoding a partial layout.
-  if (layout.build(m, scratch)) prog = std::make_unique<DecodedProgram>(m, layout, &schedules);
-}
+SimProgram::SimProgram(Module& m, const ScheduleMap& schedules)
+    : prog(std::make_unique<DecodedProgram>(m, layout, &schedules)) {}
 SimProgram::~SimProgram() = default;
 
 SimOutcome simulateTwill(Module& m, const DswpResult& dswp, const SimConfig& cfg,
@@ -537,9 +533,8 @@ SimOutcome simulateTwill(Module& m, const DswpResult& dswp, const SimConfig& cfg
   // global initializers into this run's fresh memory.
   Layout ownLayout;
   Layout& layout = shared ? shared->layout : ownLayout;
-  layout.build(m, mem);
-  if (!layout.ok || (shared && !shared->prog)) {
-    out.message = layout.ok ? "module layout failed at program decode time" : layout.error;
+  if (!layout.build(m, mem)) {
+    out.message = layout.error;
     out.resourceBreach = true;
     return out;
   }

@@ -81,7 +81,10 @@ class DecodedProgram;
 /// Pre-decoded module shared across repeated simulations (parameter sweeps
 /// re-simulate the same extracted module dozens of times; decoding it once
 /// per sweep point is pure waste). The layout is deterministic for a fixed
-/// module, so every run sees identical addresses.
+/// module, so every run sees identical addresses. Constructing one decodes
+/// nothing: each run lays the module out in its own memory, so the run's
+/// memory ceiling decides whether it fits, and functions decode on first
+/// use after that.
 struct SimProgram {
   SimProgram(Module& m, const ScheduleMap& schedules);
   ~SimProgram();

@@ -14,6 +14,30 @@ const char* kTinyProgram =
     "for (int i = 0; i < 16; i++) s += a[i] >> 1;"
     "return s; }";
 
+// kTinyProgram's shape over 8 MB of data: twice the default 4 MiB memory.
+const char* kBigDataProgram =
+    "int a[2000000];"
+    "int main() { int s = 0;"
+    "for (int i = 0; i < 16; i++) a[i * 99991] = i * 11;"
+    "for (int i = 0; i < 16; i++) s += a[i * 99991] >> 1;"
+    "return s; }";
+
+void expectSameOutcome(const SimOutcome& a, const SimOutcome& b) {
+  EXPECT_EQ(a.ok, b.ok);
+  EXPECT_EQ(a.resourceBreach, b.resourceBreach);
+  EXPECT_EQ(a.message, b.message);
+  EXPECT_EQ(a.result, b.result);
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.busMessages, b.busMessages);
+  EXPECT_EQ(a.memBusMessages, b.memBusMessages);
+  EXPECT_EQ(a.retiredSW, b.retiredSW);
+  EXPECT_EQ(a.retiredHW, b.retiredHW);
+  EXPECT_EQ(a.contextSwitches, b.contextSwitches);
+  EXPECT_EQ(a.queueOps, b.queueOps);
+  EXPECT_EQ(a.cpuBusy, b.cpuBusy);
+  EXPECT_EQ(a.hwBusy, b.hwBusy);
+}
+
 TEST(DriverTest, AllFlowsProduceConsistentReport) {
   BenchmarkReport r = runBenchmark("tiny", kTinyProgram);
   ASSERT_TRUE(r.ok) << r.error;
@@ -78,6 +102,33 @@ TEST(DriverTest, SimOptionsFlowThrough) {
   ASSERT_TRUE(fast.ok && slow.ok);
   EXPECT_GE(slow.twill.cycles, fast.twill.cycles);
   EXPECT_EQ(slow.twill.result, fast.twill.result);
+}
+
+// A kept compile re-simulates under the same memory ceiling its full run
+// had, even when the data outgrows the default simulated memory.
+TEST(DriverTest, KeptCompileOverDefaultMemoryResimulates) {
+  DriverOptions opts;
+  opts.limits.memLimitBytes = 16u << 20;
+  opts.keepTwillArtifacts = true;
+  BenchmarkReport anchor = runBenchmark("big", kBigDataProgram, opts);
+  ASSERT_TRUE(anchor.ok) << anchor.error;
+  ASSERT_TRUE(anchor.twillArtifacts);
+  const TwillArtifacts& art = *anchor.twillArtifacts;
+  SimProgram prog(*art.module, art.schedules);
+
+  BenchmarkReport same = resimulateTwill(anchor, art, prog, opts.sim, opts.limits);
+  EXPECT_TRUE(same.ok) << same.error;
+  expectSameOutcome(same.twill, anchor.twill);
+
+  SimConfig deeper = opts.sim;
+  deeper.queueCapacity = 16;
+  BenchmarkReport resim = resimulateTwill(anchor, art, prog, deeper, opts.limits);
+  DriverOptions full = opts;
+  full.sim = deeper;
+  BenchmarkReport fresh = runBenchmark("big", kBigDataProgram, full);
+  ASSERT_TRUE(fresh.ok) << fresh.error;
+  EXPECT_TRUE(resim.ok) << resim.error;
+  expectSameOutcome(resim.twill, fresh.twill);
 }
 
 TEST(DriverTest, CompileErrorsAreReported) {

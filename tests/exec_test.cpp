@@ -1,16 +1,18 @@
 // Cross-engine equivalence suite for the execution tiers.
 //
-// The superblock trace runner (src/exec/superblock.h) and the per-inst
-// decoded ExecState (src/exec/decoded.h) both replaced the tree-walking
-// interpreter; RefExecState (src/ir/interp.h) is kept as the independent
-// golden reference. These tests pin all three together through
+// The pre-decoded ExecState (src/exec/decoded.h) replaced the tree-walking
+// interpreter; its superblock trace runner (src/exec/superblock.h) is the
+// one implementation of every non-channel opcode, and step() runs one op
+// through it at a time. RefExecState (src/ir/interp.h) is kept as the
+// independent golden reference. These tests pin ExecState to it through
 // runDifferential (src/fuzz/differential.h) — results and retired-
 // instruction counts must match on every CHStone kernel and on a frontend
-// torture battery, whole-trace and under budget-stop/resume — pin
-// the superblock pipeline (channel ops mid-trace) against a RefExecState
-// replica of the burst scheduler, and pin the cycle-level counters of every
-// simulator flow to golden values recorded before the event-driven
-// scheduler landed, so engine rewrites cannot silently shift timing.
+// torture battery, step by step, whole-trace and under budget-stop/resume
+// — pin the superblock pipeline (channel ops mid-trace) against a
+// RefExecState replica of the burst scheduler, and pin the cycle-level
+// counters of every simulator flow to golden values recorded before the
+// event-driven scheduler landed, so engine rewrites cannot silently shift
+// timing.
 #include <gtest/gtest.h>
 
 #include <iterator>

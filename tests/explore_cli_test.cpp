@@ -157,6 +157,21 @@ TEST(TwillExploreCliTest, VerificationFailureExitsWithThree) {
   EXPECT_EQ(kernel.exitCode, 3) << kernel.out;
 }
 
+TEST(TwillExploreCliTest, ResourceBreachExitsWithFive) {
+  // 8 MB of data does not fit the default 4 MiB simulated memory: a resource
+  // breach, which --help lists as exit code 5.
+  std::string src = tempPath("_big.c");
+  {
+    std::ofstream f(src);
+    f << "int a[2000000];\n"
+         "int main(void) { a[7] = 3; return a[7]; }\n";
+  }
+  RunResult r = run(std::string(TWILL_EXPLORE_PATH) + " --out /dev/null " + src);
+  EXPECT_EQ(r.exitCode, 5) << r.out;
+  RunResult help = run(std::string(TWILL_EXPLORE_PATH) + " --help");
+  EXPECT_NE(help.out.find("5 resource limit breach"), std::string::npos) << help.out;
+}
+
 TEST(TwillExploreCliTest, BadUsageExitsWithTwo) {
   EXPECT_EQ(run(std::string(TWILL_EXPLORE_PATH) + " --kernel no_such_kernel").exitCode, 2);
   EXPECT_EQ(run(std::string(TWILL_EXPLORE_PATH) + " --queue-capacity 0").exitCode, 2);
@@ -178,6 +193,17 @@ TEST(BenchMainCliTest, JobsTwoMatchesSerialModuloWallClock) {
       << "bench_main reports must not depend on --jobs";
   // Wall fields exist (the normalization had something to do).
   EXPECT_NE(a.find("_wall_ms"), std::string::npos);
+}
+
+TEST(BenchMainCliTest, MalformedCountsExitWithTwo) {
+  // Counts parse strictly, like twill-explore's and twilld's --jobs: trailing
+  // text, signs, zero, overflow and non-numbers are usage errors.
+  for (const char* args : {"--jobs 2x", "--repeat 1abc", "--jobs x", "--repeat 0", "--repeat -1",
+                           "--jobs 4294967296"}) {
+    RunResult r =
+        run(std::string(BENCH_MAIN_PATH) + " --quick --kernel mips --out /dev/null " + args);
+    EXPECT_EQ(r.exitCode, 2) << args << "\n" << r.out;
+  }
 }
 
 }  // namespace

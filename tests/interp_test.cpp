@@ -329,8 +329,9 @@ TEST_F(InterpFixture, TrapOnDeepRecursion) {
   Memory mem;
   Layout lay;
   lay.build(m, mem);
+  DecodedProgram prog(m, lay);
   FunctionalChannels chans;
-  ExecState st(m, lay, mem, chans, f, {1});
+  ExecState st(prog, mem, chans, f, {1});
   StepResult r{};
   for (int i = 0; i < 100000; ++i) {
     r = st.step();

@@ -291,6 +291,32 @@ TEST(ServeTest, SimAxisChangeReusesTheCachedCompile) {
   EXPECT_EQ(normalizeWallTimes(reused.body), normalizeWallTimes(fresh.body));
 }
 
+// A compile whose data outgrows the default 4 MiB simulated memory, under a
+// request ceiling it fits, is re-simulated like any other artifact hit.
+TEST(ServeTest, ArtifactHitOverDefaultMemoryResimulates) {
+  const std::string program =
+      "int a[2000000];\n"
+      "int main(void) {\n"
+      "  int s = 0;\n"
+      "  for (int i = 0; i < 16; i++) a[i * 99991] = i * 11;\n"
+      "  for (int i = 0; i < 16; i++) s += a[i * 99991] >> 1;\n"
+      "  return s;\n"
+      "}\n";
+  const std::string limits = "\"limits\": {\"max_memory_mb\": 16}";
+  const std::string deeper = limits + ", \"sim\": {\"queue_capacity\": 16}";
+  TwillService warm{ServiceConfig{}};
+  HttpResponse first = submitAndFetch(warm, sourceRequest(program, limits));
+  ASSERT_EQ(first.status, 200) << first.body;
+  HttpResponse reused = submitAndFetch(warm, sourceRequest(program, deeper));
+  EXPECT_EQ(warm.stats().cacheArtifactHits, 1u);
+
+  TwillService cold{ServiceConfig{}};
+  HttpResponse fresh = submitAndFetch(cold, sourceRequest(program, deeper));
+  ASSERT_EQ(fresh.status, 200) << fresh.body;
+  ASSERT_EQ(reused.status, 200) << reused.body;
+  EXPECT_EQ(normalizeWallTimes(reused.body), normalizeWallTimes(fresh.body));
+}
+
 TEST(ServeTest, ByteBudgetEvictsLeastRecentlyUsedEntries) {
   // A budget far below one kept module's arena footprint forces the byte
   // sweep to evict on every insertion; distinct compile keys create distinct

@@ -61,7 +61,8 @@ void printUsage(std::FILE* to) {
                "\n"
                "exit codes (stable; most severe failure across all points wins):\n"
                "  0 success, 1 compile/input error, 2 usage error,\n"
-               "  3 verification failure, 4 simulation failure\n");
+               "  3 verification failure, 4 simulation failure,\n"
+               "  5 resource limit breach\n");
 }
 
 bool writeFileOrDie(const std::string& path, const std::string& contents, const char* what) {
@@ -237,18 +238,13 @@ int main(int argc, char** argv) {
   }
 
   bool allOk = true;
-  bool sawCompile = false, sawVerify = false, sawSim = false, sawResource = false;
+  int worst = 0;  // lowest nonzero exit code over the points: the most severe failure
   for (const auto& res : results) {
     size_t okPoints = 0;
     for (const auto& p : res.points) {
       okPoints += p.ok ? 1 : 0;
-      switch (p.report.failureKind) {
-        case twill::FailureKind::Compile: sawCompile = true; break;
-        case twill::FailureKind::Verify: sawVerify = true; break;
-        case twill::FailureKind::Sim: sawSim = true; break;
-        case twill::FailureKind::Resource: sawResource = true; break;
-        case twill::FailureKind::None: break;
-      }
+      const int code = twill::exitCodeFor(p.report.failureKind);
+      if (code != 0 && (worst == 0 || code < worst)) worst = code;
     }
     if (!res.ok) {
       allOk = false;
@@ -258,11 +254,5 @@ int main(int argc, char** argv) {
                  res.name.c_str(), okPoints, res.points.size(), res.frontier.size());
   }
   if (allOk) return 0;
-  // Documented exit-code contract (see printUsage): the most severe failure
-  // class across every evaluated point decides the code.
-  if (sawCompile) return 1;
-  if (sawVerify) return 3;
-  if (sawSim) return 4;
-  if (sawResource) return 5;
-  return 1;
+  return worst != 0 ? worst : 1;
 }

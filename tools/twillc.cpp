@@ -335,14 +335,5 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "twillc: %s: %s\n", name.c_str(), r.error.c_str());
   }
   if (out != stdout) std::fclose(out);
-  if (r.ok) return 0;
-  // The documented exit-code contract (see printUsage): compile/input
-  // failures 1, verification failures 3, simulation failures 4, resource
-  // limit breaches 5.
-  switch (r.failureKind) {
-    case twill::FailureKind::Verify: return 3;
-    case twill::FailureKind::Sim: return 4;
-    case twill::FailureKind::Resource: return 5;
-    default: return 1;
-  }
+  return r.ok ? 0 : twill::exitCodeFor(r.failureKind);
 }

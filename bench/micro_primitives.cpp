@@ -1,5 +1,6 @@
 // Microbenchmarks of the runtime primitives (google-benchmark): queue and
-// semaphore handshakes, bus arbitration, and end-to-end compile-flow stages.
+// semaphore handshakes, bus arbitration, end-to-end compile-flow stages and
+// the two verifiers.
 // These verify the Ch. 4 cycle costs stay where the thesis pinned them and
 // give a wall-clock view of the compiler itself.
 #include <benchmark/benchmark.h>
@@ -11,9 +12,11 @@
 #include "src/exec/superblock.h"
 #include "src/frontend/lower.h"
 #include "src/ir/interp.h"
+#include "src/ir/verifier.h"
 #include "src/obs/trace.h"
 #include "src/rt/fabric.h"
 #include "src/transforms/passes.h"
+#include "src/verify/partition_verifier.h"
 
 namespace twill {
 namespace {
@@ -231,6 +234,42 @@ void BM_DswpExtractCompile(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DswpExtractCompile)->DenseRange(0, 7)->Unit(benchmark::kMillisecond);
+
+// The two checkers every report runs before any simulation: the IR
+// verifier (twice per report) and the partition verifier (once), each over
+// one kernel's extracted module, built once outside the timed loop.
+struct ExtractedKernel {
+  Module m;
+  DswpResult dswp;
+  explicit ExtractedKernel(const KernelInfo& k) {
+    DiagEngine diag;
+    compileC(k.source, m, diag);
+    runDefaultPipeline(m);
+    dswp = runDswp(m, DswpConfig{});
+  }
+};
+
+void BM_VerifyModule(benchmark::State& state) {
+  const KernelInfo& k = chstoneKernels()[static_cast<size_t>(state.range(0))];
+  state.SetLabel(k.name);
+  ExtractedKernel ek(k);
+  for (auto _ : state) {
+    DiagEngine diag;
+    benchmark::DoNotOptimize(verifyModule(ek.m, diag));
+  }
+}
+BENCHMARK(BM_VerifyModule)->DenseRange(0, 7)->Unit(benchmark::kMicrosecond);
+
+void BM_VerifyPartition(benchmark::State& state) {
+  const KernelInfo& k = chstoneKernels()[static_cast<size_t>(state.range(0))];
+  state.SetLabel(k.name);
+  ExtractedKernel ek(k);
+  for (auto _ : state) {
+    DiagEngine diag;
+    benchmark::DoNotOptimize(verifyPartition(ek.m, ek.dswp, diag));
+  }
+}
+BENCHMARK(BM_VerifyPartition)->DenseRange(0, 7)->Unit(benchmark::kMicrosecond);
 
 void BM_OptimizeAndExtract(benchmark::State& state) {
   const KernelInfo& k = chstoneKernels()[static_cast<size_t>(state.range(0))];

@@ -59,7 +59,10 @@ std::unique_ptr<Module> compileAndOptimize(const std::string& source, unsigned i
   stages.passesMs = passesSpan.closeMs();
   if (stageBreach(limits, "passes", stages.passesMs, error, kind)) return nullptr;
   DiagEngine vd;
-  if (!verifyModule(*m, vd)) {
+  StageSpan irVerifySpan("ir_verify");
+  const bool verified = verifyModule(*m, vd);
+  stages.irVerifyMs += irVerifySpan.closeMs();
+  if (!verified) {
     error = "verification failed after optimization:\n" + vd.str();
     kind = FailureKind::Verify;
     return nullptr;
@@ -207,7 +210,10 @@ BenchmarkReport runBenchmark(const std::string& name, const std::string& source,
     return rep;
   {
     DiagEngine vd;
-    if (!verifyModule(*tm, vd)) {
+    StageSpan irVerifySpan("ir_verify");
+    const bool verified = verifyModule(*tm, vd);
+    rep.stages.irVerifyMs += irVerifySpan.closeMs();
+    if (!verified) {
       rep.error = "verification failed after DSWP:\n" + vd.str();
       rep.failureKind = FailureKind::Verify;
       return rep;
@@ -217,7 +223,10 @@ BenchmarkReport runBenchmark(const std::string& name, const std::string& source,
     for (auto& sem : dswp.semaphores) sem.initialCount = 0;
   if (opts.verifyPartition || verifyOnly) {
     DiagEngine vd;
-    if (!verifyPartition(*tm, dswp, vd)) {
+    StageSpan verifySpan("verify");
+    const bool verified = verifyPartition(*tm, dswp, vd);
+    rep.stages.verifyMs = verifySpan.closeMs();
+    if (!verified) {
       rep.error = "partition verification failed:\n" + vd.str();
       rep.failureKind = FailureKind::Verify;
       for (const auto& d : vd.all()) {
@@ -455,8 +464,10 @@ void emitReport(JsonWriter& w, const BenchmarkReport& rep) {
   w.field("parse_wall_ms", rep.stages.parseMs);
   w.field("lower_wall_ms", rep.stages.lowerMs);
   w.field("passes_wall_ms", rep.stages.passesMs);
+  w.field("ir_verify_wall_ms", rep.stages.irVerifyMs);
   w.field("pdg_wall_ms", rep.stages.pdgMs);
   w.field("dswp_wall_ms", rep.stages.dswpMs);
+  w.field("verify_wall_ms", rep.stages.verifyMs);
   w.field("schedule_wall_ms", rep.stages.scheduleMs);
   w.endObject();
   w.endObject();

@@ -90,16 +90,20 @@ struct FlowAreas {
 };
 
 /// Wall clock per compile-pipeline stage for one report (ms). parse/lower
-/// come from the frontend, passes is runDefaultPipeline, pdg is the PDG
-/// construction inside runDswp, dswp is the rest of extraction, schedule is
-/// both scheduleModule calls — the six are disjoint, so they sum to the
-/// report's compile-side cost (simulation excluded).
+/// come from the frontend, passes is runDefaultPipeline, ir_verify is both
+/// verifyModule calls (after the passes and after extraction), pdg is the
+/// PDG construction inside runDswp, dswp is the rest of extraction, verify
+/// is verifyPartition, schedule is both scheduleModule calls — the eight
+/// are disjoint, so they sum to the report's compile-side cost (simulation
+/// excluded).
 struct StageTimes {
   double parseMs = 0;
   double lowerMs = 0;
   double passesMs = 0;
+  double irVerifyMs = 0;
   double pdgMs = 0;
   double dswpMs = 0;
+  double verifyMs = 0;
   double scheduleMs = 0;
 };
 

@@ -5,8 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "src/ir/printer.h"
@@ -14,96 +13,166 @@
 namespace twill {
 namespace {
 
-// Small self-contained dominance computation (iterative bitvector dataflow
-// over reverse-postorder). The verifier deliberately does not depend on the
+// Dominance of one function over dense block ids (0..n-1 in block order):
+// Cooper-Harvey-Kennedy immediate dominators over reverse-postorder indices,
+// then dominator-tree preorder intervals, so a query is two comparisons.
+// Predecessors are listed once per function, exactly as
+// BasicBlock::predecessors() reports them. The tables are reused across the
+// functions of a module. The verifier deliberately does not depend on the
 // analysis library it is used to validate.
-class SimpleDominance {
-public:
-  explicit SimpleDominance(Function& f) {
-    std::vector<BasicBlock*> rpo = reversePostOrder(f);
-    std::unordered_map<BasicBlock*, size_t> idx;
-    for (size_t i = 0; i < rpo.size(); ++i) idx[rpo[i]] = i;
-    size_t n = rpo.size();
-    // dom[i] = set of blocks dominating rpo[i], as bitvector.
-    std::vector<std::vector<bool>> dom(n, std::vector<bool>(n, true));
-    if (n == 0) return;
-    std::fill(dom[0].begin(), dom[0].end(), false);
-    dom[0][0] = true;
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (size_t i = 1; i < n; ++i) {
-        std::vector<bool> in(n, true);
-        bool any = false;
-        for (BasicBlock* p : rpo[i]->predecessors()) {
-          auto it = idx.find(p);
-          if (it == idx.end()) continue;  // unreachable predecessor
-          any = true;
-          for (size_t k = 0; k < n; ++k) in[k] = in[k] && dom[it->second][k];
+class Dominance {
+ public:
+  /// `blocks` maps block id -> block; every block must end in a terminator
+  /// whose successors are blocks of the same function.
+  void build(const std::vector<BasicBlock*>& blocks) {
+    blocks_ = &blocks;
+    const size_t n = blocks.size();
+    predBegin_.assign(n + 1, 0);
+    preds_.clear();
+    for (size_t b = 0; b < n; ++b) {
+      predBegin_[b] = static_cast<unsigned>(preds_.size());
+      for (Instruction* user : blocks[b]->users()) {
+        BasicBlock* p = user->isTerminator() ? user->parent() : nullptr;
+        if (p && std::find(preds_.begin() + predBegin_[b], preds_.end(), p) == preds_.end())
+          preds_.push_back(p);
+      }
+    }
+    predBegin_[n] = static_cast<unsigned>(preds_.size());
+
+    // Postorder from the entry (block 0), then reversed into RPO indices.
+    constexpr int kUnseen = -1, kSeen = -2;
+    rpoOf_.assign(n, kUnseen);
+    rpo_.clear();
+    stack_.clear();
+    rpoOf_[0] = kSeen;
+    stack_.push_back({0, 0});
+    while (!stack_.empty()) {
+      const unsigned b = stack_.back().first;
+      Instruction* term = blocks[b]->terminator();
+      if (stack_.back().second < term->numSuccessors()) {
+        const unsigned s = term->successor(stack_.back().second++)->id();
+        if (rpoOf_[s] == kUnseen) {
+          rpoOf_[s] = kSeen;
+          stack_.push_back({s, 0});
         }
-        if (!any) std::fill(in.begin(), in.end(), false);
-        in[i] = true;
-        if (in != dom[i]) {
-          dom[i] = std::move(in);
+      } else {
+        rpo_.push_back(b);
+        stack_.pop_back();
+      }
+    }
+    std::reverse(rpo_.begin(), rpo_.end());
+    const size_t r = rpo_.size();
+    for (size_t i = 0; i < r; ++i) rpoOf_[rpo_[i]] = static_cast<int>(i);
+
+    // Immediate dominators; -1 = not yet processed. Every reachable block
+    // has a predecessor earlier in RPO, so one sweep defines them all and
+    // the fixpoint only refines them.
+    idom_.assign(r, -1);
+    idom_[0] = 0;
+    for (bool changed = true; changed;) {
+      changed = false;
+      for (size_t i = 1; i < r; ++i) {
+        int d = -1;
+        for (BasicBlock* pb : preds(blocks[rpo_[i]])) {
+          const int p = rpoIndex(pb);
+          if (p < 0 || idom_[p] < 0) continue;
+          d = d < 0 ? p : intersect(p, d);
+        }
+        if (idom_[i] != d) {
+          idom_[i] = d;
           changed = true;
         }
       }
     }
-    for (size_t i = 0; i < n; ++i)
-      for (size_t k = 0; k < n; ++k)
-        if (dom[i][k]) dominators_[rpo[i]].insert(rpo[k]);
-    for (BasicBlock* bb : rpo) reachable_.insert(bb);
-  }
 
-  bool reachable(BasicBlock* bb) const { return reachable_.count(bb) != 0; }
-
-  /// True if `a` dominates `b` (both must be reachable).
-  bool dominates(BasicBlock* a, BasicBlock* b) const {
-    auto it = dominators_.find(b);
-    return it != dominators_.end() && it->second.count(a) != 0;
-  }
-
-  static std::vector<BasicBlock*> reversePostOrder(Function& f) {
-    std::vector<BasicBlock*> post;
-    std::unordered_set<BasicBlock*> seen;
-    if (!f.entry()) return post;
-    // Iterative DFS.
-    std::vector<std::pair<BasicBlock*, size_t>> stack{{f.entry(), 0}};
-    seen.insert(f.entry());
-    while (!stack.empty()) {
-      auto& [bb, i] = stack.back();
-      auto succs = bb->successors();
-      if (i < succs.size()) {
-        BasicBlock* s = succs[i++];
-        if (seen.insert(s).second) stack.push_back({s, 0});
-      } else {
-        post.push_back(bb);
-        stack.pop_back();
-      }
+    // Preorder intervals: an immediate dominator precedes its children in
+    // RPO, so subtree sizes accumulate in reverse and each child takes the
+    // next free run inside its parent's interval.
+    size_.assign(r, 1);
+    for (size_t i = r; i-- > 1;) size_[idom_[i]] += size_[i];
+    pre_.assign(r, 0);
+    next_.assign(r, 1);
+    for (size_t i = 1; i < r; ++i) {
+      pre_[i] = next_[idom_[i]];
+      next_[idom_[i]] += size_[i];
+      next_[i] = pre_[i] + 1;
     }
-    std::reverse(post.begin(), post.end());
-    return post;
   }
 
-private:
-  std::unordered_map<BasicBlock*, std::unordered_set<BasicBlock*>> dominators_;
-  std::unordered_set<BasicBlock*> reachable_;
+  bool reachable(const BasicBlock* bb) const { return rpoIndex(bb) >= 0; }
+
+  /// True if `a` dominates `b` (reflexive); false when either is unreachable.
+  bool dominates(const BasicBlock* a, const BasicBlock* b) const {
+    const int x = rpoIndex(a), y = rpoIndex(b);
+    return x >= 0 && y >= 0 && pre_[x] <= pre_[y] && pre_[y] < pre_[x] + size_[x];
+  }
+
+  /// Predecessors of a block of this function, in use-list order.
+  Span<BasicBlock* const> preds(const BasicBlock* bb) const {
+    const unsigned b = bb->id();
+    return {preds_.data() + predBegin_[b], predBegin_[b + 1] - predBegin_[b]};
+  }
+
+ private:
+  /// RPO index of a block of this function; -1 for unreachable blocks and
+  /// blocks of other functions.
+  int rpoIndex(const BasicBlock* bb) const {
+    const unsigned b = bb->id();
+    return b < blocks_->size() && (*blocks_)[b] == bb ? rpoOf_[b] : -1;
+  }
+
+  int intersect(int a, int b) const {
+    while (a != b) {
+      while (a > b) a = idom_[a];
+      while (b > a) b = idom_[b];
+    }
+    return a;
+  }
+
+  const std::vector<BasicBlock*>* blocks_ = nullptr;
+  std::vector<unsigned> predBegin_;
+  std::vector<BasicBlock*> preds_;
+  std::vector<int> rpoOf_;                   // block id -> RPO index, -1 when unreachable
+  std::vector<unsigned> rpo_;                // RPO index -> block id
+  std::vector<int> idom_;                    // RPO index -> RPO index of the immediate dominator
+  std::vector<unsigned> pre_, size_, next_;  // dominator-tree preorder intervals
+  std::vector<std::pair<unsigned, unsigned>> stack_;
+};
+
+/// Per-module scratch shared by the function verifiers.
+///
+/// While a function is checked its blocks carry ids 0..n-1 and its
+/// instructions carry increasing positions in block order (the numbering
+/// Function::renumber gives them). The ids the caller left are saved first
+/// and written back afterwards: instruction ids before any diagnostic names
+/// an instruction (the printer's %tN reads them), block ids at the end.
+struct Scratch {
+  std::vector<BasicBlock*> blocks;  // block id -> block
+  std::vector<unsigned> savedBlockIds, savedInstIds;
+  Dominance dom;
+  std::vector<std::pair<Instruction*, Instruction*>> badUses;  // (def, use)
 };
 
 class FunctionVerifier {
 public:
-  FunctionVerifier(Function& f, DiagEngine& diag) : f_(f), diag_(diag) {}
+  FunctionVerifier(Function& f, DiagEngine& diag, Scratch& scratch)
+      : f_(f), diag_(diag), s_(scratch) {}
 
   bool run() {
     if (!f_.entry()) {
       error("function @" + f_.name() + " has no blocks");
       return ok_;
     }
+    s_.blocks.clear();
+    s_.savedBlockIds.clear();
+    for (auto& bb : f_.blocks()) {
+      s_.savedBlockIds.push_back(bb->id());
+      bb->setId(static_cast<unsigned>(s_.blocks.size()));
+      s_.blocks.push_back(bb);
+    }
     checkStructure();
-    if (!ok_) return false;  // dominance checks assume structural sanity
-    SimpleDominance dom(f_);
-    checkSSA(dom);
-    checkPhis(dom);
+    if (ok_) checkDominance();  // dominance checks assume structural sanity
+    for (size_t b = 0; b < s_.blocks.size(); ++b) s_.blocks[b]->setId(s_.savedBlockIds[b]);
     return ok_;
   }
 
@@ -113,9 +182,11 @@ private:
     ok_ = false;
   }
 
+  bool isLocal(const BasicBlock* bb) const {
+    return bb->id() < s_.blocks.size() && s_.blocks[bb->id()] == bb;
+  }
+
   void checkStructure() {
-    std::unordered_set<BasicBlock*> blockSet;
-    for (auto& bb : f_.blocks()) blockSet.insert(bb);
     if (!f_.entry()->predecessors().empty())
       error("entry block has predecessors");
     for (auto& bb : f_.blocks()) {
@@ -142,7 +213,7 @@ private:
             continue;
           }
           if (auto* tb = dyn_cast<BasicBlock>(op)) {
-            if (!blockSet.count(tb))
+            if (!isLocal(tb))
               error("branch to block of another function in %" + bb->name());
             if (!inst->isTerminator())
               error("non-terminator references a block in %" + bb->name());
@@ -230,39 +301,45 @@ private:
     }
   }
 
-  void checkSSA(const SimpleDominance& dom) {
-    for (auto& bb : f_.blocks()) {
+  void checkDominance() {
+    s_.dom.build(s_.blocks);
+    const Dominance& dom = s_.dom;
+    s_.savedInstIds.clear();
+    unsigned pos = 0;
+    for (BasicBlock* bb : s_.blocks)
+      for (auto& inst : *bb) {
+        s_.savedInstIds.push_back(inst->id());
+        inst->setId(pos++);
+      }
+    s_.badUses.clear();
+    for (BasicBlock* bb : s_.blocks) {
       if (!dom.reachable(bb)) continue;
-      for (auto& instPtr : *bb) {
-        Instruction* inst = instPtr;
+      for (auto& inst : *bb) {
         if (inst->isPhi()) continue;  // phi uses checked on edges
-        for (unsigned i = 0; i < inst->numOperands(); ++i) {
-          auto* def = dyn_cast<Instruction>(inst->operand(i));
+        for (Value* op : inst->operands()) {
+          auto* def = dyn_cast<Instruction>(op);
           if (!def) continue;
-          if (!dominatesUse(def, inst, dom))
-            error("use of " + printValueRef(def) + " in " + printInstruction(inst) +
-                  " is not dominated by its definition");
+          // Same block: the def must come strictly first, so an instruction
+          // using its own result is rejected.
+          const bool dominated = def->parent() == bb ? def->id() < inst->id()
+                                                     : dom.dominates(def->parent(), bb);
+          if (!dominated) s_.badUses.push_back({def, inst});
         }
       }
     }
+    pos = 0;
+    for (BasicBlock* bb : s_.blocks)
+      for (auto& inst : *bb) inst->setId(s_.savedInstIds[pos++]);
+    for (const auto& [def, use] : s_.badUses)
+      error("use of " + printValueRef(def) + " in " + printInstruction(use) +
+            " is not dominated by its definition");
+    checkPhis(dom);
   }
 
-  bool dominatesUse(Instruction* def, Instruction* use, const SimpleDominance& dom) {
-    BasicBlock* db = def->parent();
-    BasicBlock* ub = use->parent();
-    if (db != ub) return dom.dominates(db, ub);
-    // Same block: def must come first.
-    for (auto& i : *db) {
-      if (i == def) return true;
-      if (i == use) return false;
-    }
-    return false;
-  }
-
-  void checkPhis(const SimpleDominance& dom) {
-    for (auto& bb : f_.blocks()) {
+  void checkPhis(const Dominance& dom) {
+    for (BasicBlock* bb : s_.blocks) {
       if (!dom.reachable(bb)) continue;
-      auto preds = bb->predecessors();
+      const Span<BasicBlock* const> preds = dom.preds(bb);
       for (auto& instPtr : *bb) {
         Instruction* inst = instPtr;
         if (!inst->isPhi()) break;
@@ -279,8 +356,7 @@ private:
           }
           if (auto* def = dyn_cast<Instruction>(inst->incomingValue(i))) {
             // The incoming value must dominate the edge, i.e. the pred block.
-            if (dom.reachable(in) &&
-                !(def->parent() == in ? true : dom.dominates(def->parent(), in)))
+            if (dom.reachable(in) && def->parent() != in && !dom.dominates(def->parent(), in))
               error("phi incoming value " + printValueRef(def) + " does not dominate edge from %" +
                     in->name());
           }
@@ -294,16 +370,21 @@ private:
 
   Function& f_;
   DiagEngine& diag_;
+  Scratch& s_;
   bool ok_ = true;
 };
 
 }  // namespace
 
-bool verifyFunction(Function& f, DiagEngine& diag) { return FunctionVerifier(f, diag).run(); }
+bool verifyFunction(Function& f, DiagEngine& diag) {
+  Scratch scratch;
+  return FunctionVerifier(f, diag, scratch).run();
+}
 
 bool verifyModule(Module& m, DiagEngine& diag) {
+  Scratch scratch;
   bool ok = true;
-  for (auto& f : m.functions()) ok &= verifyFunction(*f, diag);
+  for (auto& f : m.functions()) ok &= FunctionVerifier(*f, diag, scratch).run();
   return ok;
 }
 

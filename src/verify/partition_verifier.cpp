@@ -1,17 +1,16 @@
 #include "src/verify/partition_verifier.h"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <climits>
+#include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
-#include <set>
-#include <unordered_map>
-#include <unordered_set>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "src/analysis/cfg.h"
 #include "src/analysis/domtree.h"
 #include "src/analysis/loopinfo.h"
 
@@ -41,55 +40,215 @@ std::string semDesc(const SemaphoreInfo* sem, int id) {
   return s;
 }
 
-/// Everything the three analyses need, gathered in one scan of the module:
-/// produce/consume/raise/lower sites keyed by id, the info tables keyed by
-/// id, and the thread structure.
-struct ModuleIndex {
-  std::map<int, std::vector<Site>> produces, consumes, raises, lowers;
-  std::unordered_map<int, const ChannelInfo*> channelById;
-  std::unordered_map<int, const SemaphoreInfo*> semById;
-  std::unordered_set<Function*> slaveFns;
-  std::unordered_map<Function*, std::string> threadName;  // thread root -> origin
+/// Dense slots for channel (or semaphore) numbers: every id the DswpResult
+/// table or an instruction names, in ascending id order, so a walk over
+/// slots visits ids in ascending order.
+class IdSlots {
+ public:
+  void add(int id) { ids_.push_back(id); }
+  void seal() {
+    std::sort(ids_.begin(), ids_.end());
+    ids_.erase(std::unique(ids_.begin(), ids_.end()), ids_.end());
+  }
+  unsigned size() const { return static_cast<unsigned>(ids_.size()); }
+  int id(unsigned slot) const { return ids_[slot]; }
+  /// Slot of an id passed to add() before seal().
+  unsigned slot(int id) const {
+    return static_cast<unsigned>(std::lower_bound(ids_.begin(), ids_.end(), id) - ids_.begin());
+  }
+
+ private:
+  std::vector<int> ids_;
 };
 
-ModuleIndex buildIndex(Module& m, const DswpResult& dswp, DiagEngine& diag) {
-  ModuleIndex idx;
-  for (const auto& ch : dswp.channels) idx.channelById[ch.id] = &ch;
-  for (const auto& sem : dswp.semaphores) idx.semById[sem.id] = &sem;
-  for (const auto& t : dswp.threads) {
-    idx.threadName[t.fn] = t.origin;
-    if (t.isSlave) idx.slaveFns.insert(t.fn);
+enum SiteKind : unsigned { kProduce, kConsume, kRaise, kLower, kNumSiteKinds };
+
+/// Everything the three analyses need, gathered in one scan of the module.
+///
+/// Functions, channels and semaphores get dense indices, and the blocks and
+/// instructions of every function are numbered module-wide (in function,
+/// block and instruction order) while the index lives, so every table is a
+/// vector. The ids the blocks and instructions had are put back when the
+/// index is destroyed.
+class ModuleIndex {
+ public:
+  ModuleIndex(Module& m, const DswpResult& dswp, DiagEngine& diag) : dswp_(dswp) {
+    for (auto& f : m.functions()) add(f);
+    const size_t moduleFns = fns_.size();
+    std::vector<Instruction*> ops;  // Twill ops, in module order
+    for (size_t i = 0; i < moduleFns; ++i) scan(*fns_[i], ops);
+    const size_t moduleOps = ops.size();
+    // Number what the startup game can enter outside the module too (a
+    // thread, callee or branch target in no listed function), so every walk
+    // stays indexed; only the module's own ops are sites.
+    for (const auto& t : dswp.threads)
+      if (t.fn) number(t.fn);
+    if (dswp.mainMaster) number(dswp.mainMaster);
+    for (size_t i = moduleFns; i < fns_.size(); ++i) scan(*fns_[i], ops);
+
+    for (const auto& ch : dswp.channels) channels.add(ch.id);
+    for (const auto& sem : dswp.semaphores) semaphores.add(sem.id);
+    for (Instruction* inst : ops) (isSemOp(inst) ? semaphores : channels).add(inst->channel());
+    channels.seal();
+    semaphores.seal();
+    channelInfo_.assign(channels.size(), nullptr);
+    semInfo_.assign(semaphores.size(), nullptr);
+    for (const auto& ch : dswp.channels) channelInfo_[channels.slot(ch.id)] = &ch;
+    for (const auto& sem : dswp.semaphores) semInfo_[semaphores.slot(sem.id)] = &sem;
+
+    // The module's sites grouped by (kind, slot) in one table, module order
+    // within a group (a counting sort over the scanned ops).
+    ops.resize(moduleOps);
+    std::vector<unsigned> group(ops.size());
+    const unsigned numChannels = channels.size(), numSems = semaphores.size();
+    groupBase_ = {0, numChannels, 2 * numChannels, 2 * numChannels + numSems,
+                  2 * numChannels + 2 * numSems};
+    siteBegin_.assign(groupBase_[kNumSiteKinds] + 1, 0);
+    for (size_t k = 0; k < ops.size(); ++k) {
+      Instruction* inst = ops[k];
+      const int id = inst->channel();
+      const bool sem = isSemOp(inst);
+      const SiteKind kind = siteKind(inst->op());
+      const unsigned slot = sem ? semaphores.slot(id) : channels.slot(id);
+      group[k] = groupBase_[kind] + slot;
+      ++siteBegin_[group[k] + 1];
+      if (sem ? !semInfo_[slot] : !channelInfo_[slot])
+        diag.error({}, at(inst) + ": " + opcodeName(inst->op()) + " references unknown " +
+                           (sem ? "semaphore " : "channel ") + std::to_string(id));
+    }
+    for (size_t g = 1; g < siteBegin_.size(); ++g) siteBegin_[g] += siteBegin_[g - 1];
+    sites_.resize(ops.size());
+    std::vector<unsigned> fill(siteBegin_.begin(), siteBegin_.end() - 1);
+    for (size_t k = 0; k < ops.size(); ++k)
+      sites_[fill[group[k]]++] = {fns_[fnOf(ops[k])], ops[k]};
   }
-  for (auto& f : m.functions()) {
-    for (auto& bb : f->blocks()) {
+
+  ~ModuleIndex() {
+    size_t b = 0, k = 0;
+    for (Function* f : fns_)
+      for (auto& bb : f->blocks()) {
+        bb->setId(savedBlockIds_[b++]);
+        for (auto& inst : *bb) inst->setId(savedInstIds_[k++]);
+      }
+  }
+  ModuleIndex(const ModuleIndex&) = delete;
+  ModuleIndex& operator=(const ModuleIndex&) = delete;
+
+  // --- Functions, blocks, instructions ---------------------------------------
+  unsigned numFunctions() const { return static_cast<unsigned>(fns_.size()); }
+  /// Index of a numbered function, or -1.
+  int findFn(const Function* f) const {
+    const BasicBlock* e = f->entry();
+    if (e && numbered(e)) return static_cast<int>(blockFn_[e->id()]);
+    for (size_t i = 0; i < fns_.size(); ++i)
+      if (fns_[i] == f) return static_cast<int>(i);
+    return -1;
+  }
+  bool numbered(const BasicBlock* bb) const {
+    return bb->id() < blocks_.size() && blocks_[bb->id()] == bb;
+  }
+  /// Function index of a numbered block's instruction.
+  unsigned fnOf(const Instruction* inst) const { return blockFn_[inst->parent()->id()]; }
+  /// Index of a numbered block within its function.
+  unsigned localBlock(const BasicBlock* bb) const {
+    return bb->id() - blockBase_[blockFn_[bb->id()]];
+  }
+  unsigned numInstructions() const { return numInsts_; }
+
+  // --- Channels, semaphores, sites --------------------------------------------
+  IdSlots channels, semaphores;
+  const ChannelInfo* channelInfo(unsigned slot) const { return channelInfo_[slot]; }
+  const SemaphoreInfo* semInfo(unsigned slot) const { return semInfo_[slot]; }
+  /// Sites of one kind on one channel (produce/consume) or semaphore slot.
+  Span<const Site> sites(SiteKind kind, unsigned slot) const {
+    const unsigned g = groupBase_[kind] + slot;
+    return {sites_.data() + siteBegin_[g], siteBegin_[g + 1] - siteBegin_[g]};
+  }
+
+  // --- Threads -----------------------------------------------------------------
+  bool isSlave(const Function* f) const {
+    for (const auto& t : dswp_.threads)
+      if (t.fn == f && t.isSlave) return true;
+    return false;
+  }
+  /// Origin of the last thread table entry rooted at `f`, or null.
+  const std::string* threadOrigin(const Function* f) const {
+    for (auto it = dswp_.threads.rbegin(); it != dswp_.threads.rend(); ++it)
+      if (it->fn == f) return &it->origin;
+    return nullptr;
+  }
+
+ private:
+  /// Collects f's Twill ops and numbers the functions its calls and
+  /// branches reach.
+  void scan(Function& f, std::vector<Instruction*>& ops) {
+    for (auto& bb : f.blocks()) {
       for (auto& inst : *bb) {
-        const int id = inst->channel();
         switch (inst->op()) {
           case Opcode::Produce:
-          case Opcode::Consume: {
-            auto& sites = inst->op() == Opcode::Produce ? idx.produces : idx.consumes;
-            sites[id].push_back({f, inst});
-            if (!idx.channelById.count(id))
-              diag.error({}, at(inst) + ": " + opcodeName(inst->op()) +
-                                 " references unknown channel " + std::to_string(id));
-            break;
-          }
+          case Opcode::Consume:
           case Opcode::SemRaise:
-          case Opcode::SemLower: {
-            auto& sites = inst->op() == Opcode::SemRaise ? idx.raises : idx.lowers;
-            sites[id].push_back({f, inst});
-            if (!idx.semById.count(id))
-              diag.error({}, at(inst) + ": " + opcodeName(inst->op()) +
-                                 " references unknown semaphore " + std::to_string(id));
+          case Opcode::SemLower:
+            ops.push_back(inst);
             break;
-          }
-          default: break;
+          case Opcode::Call:
+            if (inst->callee()) number(inst->callee());
+            break;
+          default:
+            for (unsigned k = 0; k < inst->numSuccessors(); ++k) {
+              BasicBlock* succ = inst->successor(k);
+              if (succ && succ->parent() && !numbered(succ)) number(succ->parent());
+            }
+            break;
         }
       }
     }
   }
-  return idx;
-}
+
+  static bool isSemOp(const Instruction* inst) {
+    return inst->op() == Opcode::SemRaise || inst->op() == Opcode::SemLower;
+  }
+
+  static SiteKind siteKind(Opcode op) {
+    if (op == Opcode::Produce) return kProduce;
+    if (op == Opcode::Consume) return kConsume;
+    return op == Opcode::SemRaise ? kRaise : kLower;
+  }
+
+  /// Numbers `f`, its blocks and its instructions, unless it already is.
+  void number(Function* f) {
+    if (findFn(f) < 0) add(f);
+  }
+
+  void add(Function* f) {
+    const unsigned i = static_cast<unsigned>(fns_.size());
+    fns_.push_back(f);
+    blockBase_.push_back(static_cast<unsigned>(blocks_.size()));
+    for (auto& bb : f->blocks()) {
+      savedBlockIds_.push_back(bb->id());
+      bb->setId(static_cast<unsigned>(blocks_.size()));
+      blocks_.push_back(bb);
+      blockFn_.push_back(i);
+      for (auto& inst : *bb) {
+        savedInstIds_.push_back(inst->id());
+        inst->setId(numInsts_++);
+      }
+    }
+  }
+
+  const DswpResult& dswp_;
+  std::vector<Function*> fns_;
+  std::vector<unsigned> blockBase_;  // function -> id of its first block
+  std::vector<BasicBlock*> blocks_;  // block id -> block
+  std::vector<unsigned> blockFn_;    // block id -> function
+  unsigned numInsts_ = 0;
+  std::vector<unsigned> savedBlockIds_, savedInstIds_;
+  std::vector<const ChannelInfo*> channelInfo_;
+  std::vector<const SemaphoreInfo*> semInfo_;
+  std::array<unsigned, kNumSiteKinds + 1> groupBase_{};
+  std::vector<unsigned> siteBegin_;
+  std::vector<Site> sites_;
+};
 
 // ---------------------------------------------------------------------------
 // (a) Endpoint discipline.
@@ -101,13 +260,16 @@ ModuleIndex buildIndex(Module& m, const DswpResult& dswp, DiagEngine& diag) {
 // always from the same static function.
 // ---------------------------------------------------------------------------
 
-std::set<Function*> siteFns(const std::vector<Site>& sites) {
-  std::set<Function*> fns;
-  for (const Site& s : sites) fns.insert(s.fn);
-  return fns;
+/// The distinct functions of `sites`, in module order, into `fns`.
+void siteFns(const ModuleIndex& idx, Span<const Site> sites, std::vector<Function*>& fns) {
+  fns.clear();
+  for (const Site& s : sites) fns.push_back(s.fn);
+  auto before = [&](const Function* a, const Function* b) { return idx.findFn(a) < idx.findFn(b); };
+  std::sort(fns.begin(), fns.end(), before);
+  fns.erase(std::unique(fns.begin(), fns.end()), fns.end());
 }
 
-std::string fnList(const std::set<Function*>& fns) {
+std::string fnList(const std::vector<Function*>& fns) {
   std::string out;
   for (Function* f : fns) {
     if (!out.empty()) out += ", ";
@@ -116,33 +278,38 @@ std::string fnList(const std::set<Function*>& fns) {
   return out;
 }
 
-/// Channels that pass the endpoint rules, mapped to their unique
-/// (producer, consumer) pair; only these are worth balance-checking.
-std::map<int, std::pair<Function*, Function*>> checkEndpoints(const ModuleIndex& idx,
-                                                              const DswpResult& dswp,
-                                                              DiagEngine& diag) {
-  std::map<int, std::pair<Function*, Function*>> clean;
+/// The unique (producer, consumer) pair of each channel slot that passes the
+/// endpoint rules (null when it does not); only these are worth
+/// balance-checking.
+struct Endpoints {
+  std::vector<Function*> producer, consumer;
+};
+
+Endpoints checkEndpoints(const ModuleIndex& idx, const DswpResult& dswp, DiagEngine& diag) {
+  Endpoints clean;
+  clean.producer.assign(idx.channels.size(), nullptr);
+  clean.consumer.assign(idx.channels.size(), nullptr);
+  std::vector<Function*> prodFns, consFns;
   for (const auto& ch : dswp.channels) {
-    auto pi = idx.produces.find(ch.id);
-    auto ci = idx.consumes.find(ch.id);
-    const bool hasProd = pi != idx.produces.end() && !pi->second.empty();
-    const bool hasCons = ci != idx.consumes.end() && !ci->second.empty();
-    if (!hasProd && !hasCons) {
+    const unsigned slot = idx.channels.slot(ch.id);
+    const Span<const Site> prods = idx.sites(kProduce, slot);
+    const Span<const Site> conss = idx.sites(kConsume, slot);
+    if (prods.empty() && conss.empty()) {
       diag.warning({}, channelDesc(&ch, ch.id) + " has no produce or consume sites");
       continue;
     }
-    if (!hasProd) {
-      diag.error({}, at(ci->second.front().inst) + ": consumes " + channelDesc(&ch, ch.id) +
+    if (prods.empty()) {
+      diag.error({}, at(conss[0].inst) + ": consumes " + channelDesc(&ch, ch.id) +
                          " which no function produces; the consume can never unblock");
       continue;
     }
-    if (!hasCons) {
-      diag.error({}, at(pi->second.front().inst) + ": produces " + channelDesc(&ch, ch.id) +
+    if (conss.empty()) {
+      diag.error({}, at(prods[0].inst) + ": produces " + channelDesc(&ch, ch.id) +
                          " which no function consumes; the queue fills and the produce blocks");
       continue;
     }
-    std::set<Function*> prodFns = siteFns(pi->second);
-    std::set<Function*> consFns = siteFns(ci->second);
+    siteFns(idx, prods, prodFns);
+    siteFns(idx, conss, consFns);
     bool ok = true;
     if (prodFns.size() > 1) {
       diag.error({}, channelDesc(&ch, ch.id) + " is produced by " +
@@ -156,13 +323,16 @@ std::map<int, std::pair<Function*, Function*>> checkEndpoints(const ModuleIndex&
                          "); DSWP queues are point-to-point");
       ok = false;
     }
-    if (ok && *prodFns.begin() == *consFns.begin()) {
-      diag.error({}, "[" + (*prodFns.begin())->name() + "] both produces and consumes " +
+    if (ok && prodFns[0] == consFns[0]) {
+      diag.error({}, "[" + prodFns[0]->name() + "] both produces and consumes " +
                          channelDesc(&ch, ch.id) +
                          "; a queue endpoint pair must span two threads");
       ok = false;
     }
-    if (ok) clean[ch.id] = {*prodFns.begin(), *consFns.begin()};
+    if (ok) {
+      clean.producer[slot] = prodFns[0];
+      clean.consumer[slot] = consFns[0];
+    }
   }
   return clean;
 }
@@ -180,15 +350,6 @@ std::map<int, std::pair<Function*, Function*>> checkEndpoints(const ModuleIndex&
 // retain >= 2 predecessors for as long as the loop exists).
 // ---------------------------------------------------------------------------
 
-struct FnLoops {
-  Function* fn = nullptr;
-  DomTree dom;
-  LoopInfo loops;
-  Loop* dispatch = nullptr;  // slaves only; null when not found
-  bool isSlave = false;
-  std::vector<BasicBlock*> rets;  // blocks ending in Ret
-};
-
 std::string stripPartitionSuffix(const std::string& name) {
   const size_t pos = name.rfind(".p");
   if (pos == std::string::npos || pos + 2 >= name.size()) return name;
@@ -197,97 +358,183 @@ std::string stripPartitionSuffix(const std::string& name) {
   return name.substr(0, pos);
 }
 
-class LoopContextCache {
-public:
-  LoopContextCache(const ModuleIndex& idx) : idx_(idx) {}
+/// One function's loop context, built once: dominators and natural loops,
+/// each loop's relative chain key and latches, each block's innermost loop.
+/// Blocks are indexed by their position in the function, loops by their
+/// position in LoopInfo::loops().
+struct FnLoops {
+  Function* fn = nullptr;
+  DomTree dom;
+  LoopInfo loops;
+  Loop* dispatch = nullptr;  // slaves only; null when not found
+  bool isSlave = false;
+  std::vector<BasicBlock*> rets;  // blocks ending in Ret
+  std::vector<BasicBlock*> blocks;
+  std::vector<int> loopOf;  // block -> innermost loop, -1 outside every loop
+  // The chain key of every loop whose enclosing loops can be made relative
+  // to the per-invocation region (-1 for the others and for the dispatch
+  // loop), as an index into `keys`: the distinct chain keys plus "" (the
+  // region level, so always keys[0]) in string order, each with the number
+  // of such loops carrying it. A slave loop outside its dispatch loop runs
+  // once ever, not once per invocation, and has no relative chain.
+  std::vector<int> loopKey;
+  std::vector<std::string> keys;
+  std::vector<int> keyLoops;
+  std::vector<unsigned> latchBegin, subBegin;  // CSR over loops
+  std::vector<BasicBlock*> latchList;
+  std::vector<unsigned> subList;
+  // Per block: does it dominate every latch of its innermost loop (every
+  // return outside loops)? -1 until first asked.
+  std::vector<int8_t> uncond;
+  std::vector<unsigned> predBegin, predList;  // built on first use
 
-  const FnLoops& get(Function* f) {
-    auto it = cache_.find(f);
-    if (it != cache_.end()) return *it->second;
-    auto fl = std::make_unique<FnLoops>();
-    fl->fn = f;
-    fl->dom.build(*f, /*postDom=*/false);
-    fl->loops.build(*f, fl->dom);
-    fl->isSlave = idx_.slaveFns.count(f) != 0;
-    for (auto& bb : f->blocks()) {
+  FnLoops(Function& f, const ModuleIndex& idx) : fn(&f), isSlave(idx.isSlave(&f)) {
+    dom.build(f, /*postDom=*/false);
+    loops.build(f, dom);
+    for (auto& bb : f.blocks()) {
+      blocks.push_back(bb);
       Instruction* term = bb->terminator();
-      if (term && term->op() == Opcode::Ret) fl->rets.push_back(bb);
-      if (!fl->isSlave || fl->dispatch) continue;
+      if (term && term->op() == Opcode::Ret) rets.push_back(bb);
+      if (!isSlave || dispatch) continue;
       for (auto& inst : *bb) {
         if (inst->op() != Opcode::Consume) continue;
-        auto ci = idx_.channelById.find(inst->channel());
-        if (ci == idx_.channelById.end() || ci->second->purpose != ChannelInfo::Purpose::Start)
-          continue;
-        Loop* l = fl->loops.loopFor(bb);
+        const ChannelInfo* ci = idx.channelInfo(idx.channels.slot(inst->channel()));
+        if (!ci || ci->purpose != ChannelInfo::Purpose::Start) continue;
+        Loop* l = loops.loopFor(bb);
         while (l && l->parent) l = l->parent;
-        fl->dispatch = l;
+        dispatch = l;
         break;
       }
     }
-    const FnLoops& ref = *fl;
-    cache_[f] = std::move(fl);
-    return ref;
+
+    const auto& all = loops.loops();
+    std::vector<std::pair<const Loop*, int>> byPtr;
+    for (size_t i = 0; i < all.size(); ++i) byPtr.push_back({all[i].get(), static_cast<int>(i)});
+    std::sort(byPtr.begin(), byPtr.end());
+    auto indexOf = [&](const Loop* l) {
+      return std::lower_bound(byPtr.begin(), byPtr.end(), std::make_pair(l, 0))->second;
+    };
+    for (BasicBlock* bb : blocks) {
+      const Loop* l = loops.loopFor(bb);
+      loopOf.push_back(l ? indexOf(l) : -1);
+    }
+
+    std::vector<std::string> chainKeys(all.size());
+    std::vector<const Loop*> chain;
+    loopKey.assign(all.size(), -1);
+    keys.push_back("");
+    for (size_t i = 0; i < all.size(); ++i) {
+      const Loop* l = all[i].get();
+      latchBegin.push_back(static_cast<unsigned>(latchList.size()));
+      for (BasicBlock* latch : l->latches()) latchList.push_back(latch);
+      subBegin.push_back(static_cast<unsigned>(subList.size()));
+      for (const Loop* sub : l->subloops) subList.push_back(indexOf(sub));
+      if (l == dispatch || !relativeChain(l, chain)) continue;
+      for (const Loop* c : chain) {
+        if (!chainKeys[i].empty()) chainKeys[i] += "/";
+        chainKeys[i] += stripPartitionSuffix(c->header->name().str());
+      }
+      keys.push_back(chainKeys[i]);
+      loopKey[i] = 0;  // resolved once `keys` is sorted
+    }
+    latchBegin.push_back(static_cast<unsigned>(latchList.size()));
+    subBegin.push_back(static_cast<unsigned>(subList.size()));
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    keyLoops.assign(keys.size(), 0);
+    for (size_t i = 0; i < all.size(); ++i) {
+      if (loopKey[i] < 0) continue;
+      loopKey[i] = findKey(chainKeys[i]);
+      ++keyLoops[loopKey[i]];
+    }
+    uncond.assign(blocks.size(), -1);
   }
 
-private:
-  const ModuleIndex& idx_;
-  std::unordered_map<Function*, std::unique_ptr<FnLoops>> cache_;
+  /// Loops enclosing `l` from outermost to innermost (inclusive), relative
+  /// to the per-invocation region. False when the chain cannot be made
+  /// relative.
+  bool relativeChain(const Loop* l, std::vector<const Loop*>& out) const {
+    out.clear();
+    bool sawDispatch = dispatch == nullptr;
+    for (const Loop* cur = l; cur; cur = cur->parent) {
+      if (cur == dispatch) {
+        sawDispatch = true;
+        break;
+      }
+      out.push_back(cur);
+    }
+    if (isSlave && !sawDispatch) return false;
+    std::reverse(out.begin(), out.end());
+    return true;
+  }
+
+  /// Index of `key` in `keys`, or -1.
+  int findKey(const std::string& key) const {
+    auto it = std::lower_bound(keys.begin(), keys.end(), key);
+    return it != keys.end() && *it == key ? static_cast<int>(it - keys.begin()) : -1;
+  }
+  /// Number of relative loops carrying `key`.
+  int loopsWithKey(const std::string& key) const {
+    const int k = findKey(key);
+    return k < 0 ? 0 : keyLoops[k];
+  }
+
+  /// Key of the relative chain of the loops around block `b`, or -1 when it
+  /// has none (a slave block outside its dispatch loop).
+  int blockKey(unsigned b) const {
+    const int l = loopOf[b];
+    if (l < 0) return isSlave ? -1 : 0;
+    if (loops.loops()[l].get() == dispatch) return 0;
+    return loopKey[l];
+  }
+
+  /// True when block `b` executes exactly once per iteration of its region:
+  /// inside a loop it must dominate every latch of its innermost loop (each
+  /// completed iteration passes it); at region level it must dominate every
+  /// region exit (for a slave, the dispatch loop's latches, which is then
+  /// the innermost loop).
+  bool unconditional(unsigned b) {
+    if (uncond[b] < 0) {
+      const int l = loopOf[b];
+      bool all = true;
+      if (l >= 0) {
+        for (unsigned k = latchBegin[l]; k < latchBegin[l + 1]; ++k)
+          all = all && dom.dominates(blocks[b], latchList[k]);
+      } else {
+        for (BasicBlock* ret : rets) all = all && dom.dominates(blocks[b], ret);
+        all = all && !rets.empty();
+      }
+      uncond[b] = all;
+    }
+    return uncond[b] != 0;
+  }
+
+  /// Predecessor lists by block index (blocks of other functions dropped).
+  void buildPreds(const ModuleIndex& idx) {
+    if (!predBegin.empty()) return;
+    for (BasicBlock* bb : blocks) {
+      predBegin.push_back(static_cast<unsigned>(predList.size()));
+      for (BasicBlock* p : bb->predecessors())
+        if (idx.numbered(p) && p->parent() == fn) predList.push_back(idx.localBlock(p));
+    }
+    predBegin.push_back(static_cast<unsigned>(predList.size()));
+  }
 };
 
-/// Loops enclosing `l` from outermost to innermost (inclusive), relative to
-/// the function's per-invocation region. Returns false when the chain cannot
-/// be made relative (a slave loop outside its dispatch loop runs once ever,
-/// not once per invocation).
-bool loopChain(const FnLoops& fl, Loop* l, std::vector<Loop*>& out) {
-  out.clear();
-  bool sawDispatch = fl.dispatch == nullptr;
-  for (Loop* cur = l; cur; cur = cur->parent) {
-    if (cur == fl.dispatch) {
-      sawDispatch = true;
-      break;
-    }
-    out.push_back(cur);
-  }
-  if (fl.isSlave && !sawDispatch) return false;
-  std::reverse(out.begin(), out.end());
-  return true;
-}
+class LoopContextCache {
+ public:
+  explicit LoopContextCache(const ModuleIndex& idx) : idx_(idx), cache_(idx.numFunctions()) {}
 
-bool blockChain(const FnLoops& fl, BasicBlock* bb, std::vector<Loop*>& out) {
-  Loop* l = fl.loops.loopFor(bb);
-  if (!l && fl.isSlave) return false;  // outside the dispatch loop entirely
-  return loopChain(fl, l, out);
-}
+  FnLoops& get(Function* f) {
+    std::unique_ptr<FnLoops>& fl = cache_[idx_.findFn(f)];
+    if (!fl) fl = std::make_unique<FnLoops>(*f, idx_);
+    return *fl;
+  }
 
-std::string chainKey(const std::vector<Loop*>& chain) {
-  std::string key;
-  for (Loop* l : chain) {
-    if (!key.empty()) key += "/";
-    key += stripPartitionSuffix(l->header->name().str());
-  }
-  return key;
-}
-
-/// True when `bb` executes exactly once per iteration of its region: inside
-/// a loop, it must dominate every latch (each completed iteration passes
-/// it); at region level it must dominate every region exit.
-bool unconditionalInRegion(const FnLoops& fl, BasicBlock* bb, const std::vector<Loop*>& chain) {
-  if (!chain.empty()) {
-    Loop* inner = chain.back();
-    for (BasicBlock* latch : inner->latches())
-      if (!fl.dom.dominates(bb, latch)) return false;
-    return true;
-  }
-  if (fl.isSlave) {
-    if (!fl.dispatch) return false;
-    for (BasicBlock* latch : fl.dispatch->latches())
-      if (!fl.dom.dominates(bb, latch)) return false;
-    return true;
-  }
-  for (BasicBlock* ret : fl.rets)
-    if (!fl.dom.dominates(bb, ret)) return false;
-  return !fl.rets.empty();
-}
+ private:
+  const ModuleIndex& idx_;
+  std::vector<std::unique_ptr<FnLoops>> cache_;
+};
 
 // ---------------------------------------------------------------------------
 // (b1) Channel token balance.
@@ -304,96 +551,97 @@ bool unconditionalInRegion(const FnLoops& fl, BasicBlock* bb, const std::vector<
 struct Delta {
   long count = 0;
   bool varies = false;
-  Instruction* site = nullptr;  // representative, for provenance
+  Instruction* site = nullptr;  // representative, for provenance; null = no site
 };
 
+/// Per-key deltas of one side, indexed like its FnLoops::keys.
 struct SideDeltas {
-  std::map<std::string, Delta> byKey;
+  std::vector<Delta> byKey;
   bool analyzable = true;
 };
 
-SideDeltas collectDeltas(const FnLoops& fl, const std::vector<Site>& sites) {
-  SideDeltas side;
+void collectDeltas(FnLoops& fl, const ModuleIndex& idx, Span<const Site> sites, SideDeltas& side) {
+  side.byKey.assign(fl.keys.size(), Delta{});
+  side.analyzable = true;
   for (const Site& s : sites) {
     if (s.fn != fl.fn) continue;
-    std::vector<Loop*> chain;
-    if (!blockChain(fl, s.inst->parent(), chain)) {
+    const unsigned b = idx.localBlock(s.inst->parent());
+    const int key = fl.blockKey(b);
+    if (key < 0) {
       side.analyzable = false;
-      return side;
+      return;
     }
-    Delta& d = side.byKey[chainKey(chain)];
+    Delta& d = side.byKey[key];
     if (!d.site) d.site = s.inst;
-    if (unconditionalInRegion(fl, s.inst->parent(), chain))
+    if (fl.unconditional(b))
       d.count += 1;
     else
       d.varies = true;
   }
-  return side;
 }
 
-/// Relative-loop keys of a function mapped to how many distinct loops carry
-/// each key (a duplicated key cannot be matched unambiguously).
-std::map<std::string, int> relativeLoopKeys(const FnLoops& fl) {
-  std::map<std::string, int> keys;
-  for (const auto& l : fl.loops.loops()) {
-    if (l.get() == fl.dispatch) continue;
-    std::vector<Loop*> chain;
-    if (!loopChain(fl, l.get(), chain)) continue;
-    ++keys[chainKey(chain)];
-  }
-  return keys;
-}
-
-void checkChannelBalance(const std::map<int, std::pair<Function*, Function*>>& endpoints,
-                         const ModuleIndex& idx, LoopContextCache& ctx, DiagEngine& diag) {
-  for (const auto& [id, pc] : endpoints) {
-    const ChannelInfo* info = idx.channelById.at(id);
-    const FnLoops& flP = ctx.get(pc.first);
-    const FnLoops& flC = ctx.get(pc.second);
-    SideDeltas dp = collectDeltas(flP, idx.produces.at(id));
-    SideDeltas dc = collectDeltas(flC, idx.consumes.at(id));
+void checkChannelBalance(const Endpoints& endpoints, const ModuleIndex& idx,
+                         LoopContextCache& ctx, DiagEngine& diag) {
+  SideDeltas dp, dc;
+  std::vector<const std::string*> keys;
+  for (unsigned slot = 0; slot < idx.channels.size(); ++slot) {
+    Function* prod = endpoints.producer[slot];
+    Function* cons = endpoints.consumer[slot];
+    if (!prod) continue;
+    const int id = idx.channels.id(slot);
+    FnLoops& flP = ctx.get(prod);
+    FnLoops& flC = ctx.get(cons);
+    collectDeltas(flP, idx, idx.sites(kProduce, slot), dp);
+    collectDeltas(flC, idx, idx.sites(kConsume, slot), dc);
     if (!dp.analyzable || !dc.analyzable) continue;
-    std::map<std::string, int> keysP = relativeLoopKeys(flP);
-    std::map<std::string, int> keysC = relativeLoopKeys(flC);
 
     // The region-level (straight-line) totals are comparable only when every
     // loop-resident site on both sides lives in a loop the other partition
     // also has: per-partition cleanup can dissolve a statically-trivial loop
     // on one side only, and then the sides' counting frames differ.
     bool regionsComparable = true;
-    for (const auto& [key, d] : dp.byKey) {
-      (void)d;
-      if (!key.empty() && !keysC.count(key)) regionsComparable = false;
+    keys.clear();
+    for (size_t k = 0; k < flP.keys.size(); ++k) {
+      if (!dp.byKey[k].site || flP.keys[k].empty()) continue;
+      keys.push_back(&flP.keys[k]);
+      if (!flC.loopsWithKey(flP.keys[k])) regionsComparable = false;
     }
-    for (const auto& [key, d] : dc.byKey) {
-      (void)d;
-      if (!key.empty() && !keysP.count(key)) regionsComparable = false;
+    for (size_t k = 0; k < flC.keys.size(); ++k) {
+      if (!dc.byKey[k].site || flC.keys[k].empty()) continue;
+      keys.push_back(&flC.keys[k]);
+      if (!flP.loopsWithKey(flC.keys[k])) regionsComparable = false;
     }
-
-    std::set<std::string> keys;
-    for (const auto& [key, d] : dp.byKey) (void)d, keys.insert(key);
-    for (const auto& [key, d] : dc.byKey) (void)d, keys.insert(key);
-    keys.insert("");
-    for (const std::string& key : keys) {
+    // Every key either side touched, plus the region level "", in string
+    // order.
+    static const std::string kRegion;
+    keys.push_back(&kRegion);
+    std::sort(keys.begin(), keys.end(),
+              [](const std::string* a, const std::string* b) { return *a < *b; });
+    keys.erase(std::unique(keys.begin(), keys.end(),
+                           [](const std::string* a, const std::string* b) { return *a == *b; }),
+               keys.end());
+    for (const std::string* keyPtr : keys) {
+      const std::string& key = *keyPtr;
       if (key.empty()) {
         if (!regionsComparable) continue;
       } else {
-        auto kp = keysP.find(key);
-        auto kc = keysC.find(key);
-        if (kp == keysP.end() || kc == keysC.end()) continue;  // unmatched loop
-        if (kp->second > 1 || kc->second > 1) continue;        // ambiguous name
+        const int kp = flP.loopsWithKey(key);
+        const int kc = flC.loopsWithKey(key);
+        if (!kp || !kc) continue;        // unmatched loop
+        if (kp > 1 || kc > 1) continue;  // ambiguous name
       }
-      const Delta dProd = dp.byKey.count(key) ? dp.byKey[key] : Delta{};
-      const Delta dCons = dc.byKey.count(key) ? dc.byKey[key] : Delta{};
+      const int kP = flP.findKey(key), kC = flC.findKey(key);
+      const Delta dProd = kP >= 0 ? dp.byKey[kP] : Delta{};
+      const Delta dCons = kC >= 0 ? dc.byKey[kC] : Delta{};
       if (dProd.varies || dCons.varies) continue;
       if (dProd.count == dCons.count) continue;
       const std::string where =
           key.empty() ? "per invocation" : "per iteration of matched loop '" + key + "'";
       Instruction* site = dProd.site ? dProd.site : dCons.site;
-      diag.error({}, at(site) + ": " + channelDesc(info, id) + " is unbalanced: [" +
-                         pc.first->name() + "] produces " + std::to_string(dProd.count) + " " +
-                         where + " but [" + pc.second->name() + "] consumes " +
-                         std::to_string(dCons.count) +
+      diag.error({}, at(site) + ": " + channelDesc(idx.channelInfo(slot), id) +
+                         " is unbalanced: [" + prod->name() + "] produces " +
+                         std::to_string(dProd.count) + " " + where + " but [" + cons->name() +
+                         "] consumes " + std::to_string(dCons.count) +
                          "; the queue drifts until it overflows or starves");
     }
   }
@@ -419,64 +667,74 @@ bool constCount(const Instruction* inst, long& out) {
   return true;
 }
 
-/// Per-iteration net (raises - lowers) of semaphore `id` in loop `l`, using
-/// only sites pinned to exactly-once-per-iteration blocks; subloops must net
-/// to zero. Returns false when the net cannot be pinned to a constant.
-bool loopSemNet(const FnLoops& fl, Loop* l, const std::vector<Site>& raises,
-                const std::vector<Site>& lowers, std::map<Loop*, std::pair<bool, long>>& memo,
-                long& out) {
-  auto it = memo.find(l);
-  if (it != memo.end()) {
-    out = it->second.second;
-    return it->second.first;
-  }
-  bool ok = true;
-  long net = 0;
-  auto addSites = [&](const std::vector<Site>& sites, long sign) {
-    for (const Site& s : sites) {
-      BasicBlock* bb = s.inst->parent();
-      if (s.fn != fl.fn || !l->contains(bb)) continue;
-      if (fl.loops.loopFor(bb) != l) continue;  // subloop sites handled below
-      long k = 0;
-      if (!constCount(s.inst, k)) {
-        ok = false;
-        continue;
+/// Per-iteration nets (raises - lowers) of one semaphore in each loop of one
+/// function, memoized by loop index.
+class LoopSemNets {
+ public:
+  LoopSemNets(FnLoops& fl, const ModuleIndex& idx, Span<const Site> raises,
+              Span<const Site> lowers)
+      : fl_(fl), idx_(idx), raises_(raises), lowers_(lowers), memo_(fl.loops.loops().size()) {}
+
+  /// Net of loop `l` using only sites pinned to exactly-once-per-iteration
+  /// blocks; subloops must net to zero. False when the net cannot be pinned
+  /// to a constant.
+  bool net(unsigned l, long& out) {
+    Memo& m = memo_[l];
+    if (!m.done) {
+      m.done = true;
+      m.ok = true;
+      long net = 0;
+      auto addSites = [&](Span<const Site> sites, long sign) {
+        for (const Site& s : sites) {
+          if (s.fn != fl_.fn) continue;
+          const unsigned b = idx_.localBlock(s.inst->parent());
+          if (fl_.loopOf[b] != static_cast<int>(l)) continue;  // subloop sites handled below
+          long k = 0;
+          if (!constCount(s.inst, k) || !fl_.unconditional(b)) {
+            m.ok = false;
+            continue;
+          }
+          net += sign * k;
+        }
+      };
+      addSites(raises_, +1);
+      addSites(lowers_, -1);
+      for (unsigned k = fl_.subBegin[l]; k < fl_.subBegin[l + 1]; ++k) {
+        long subNet = 0;
+        if (!this->net(fl_.subList[k], subNet) || subNet != 0) m.ok = false;
       }
-      bool dominatesLatches = true;
-      for (BasicBlock* latch : l->latches())
-        if (!fl.dom.dominates(bb, latch)) dominatesLatches = false;
-      if (!dominatesLatches) {
-        ok = false;
-        continue;
-      }
-      net += sign * k;
+      m.net = net;
     }
-  };
-  addSites(raises, +1);
-  addSites(lowers, -1);
-  for (Loop* sub : l->subloops) {
-    long subNet = 0;
-    if (!loopSemNet(fl, sub, raises, lowers, memo, subNet) || subNet != 0) ok = false;
+    out = m.net;
+    return m.ok;
   }
-  memo[l] = {ok, net};
-  out = net;
-  return ok;
-}
+
+ private:
+  struct Memo {
+    bool done = false, ok = false;
+    long net = 0;
+  };
+  FnLoops& fl_;
+  const ModuleIndex& idx_;
+  Span<const Site> raises_, lowers_;
+  std::vector<Memo> memo_;
+};
 
 void checkSemaphoreBalance(const DswpResult& dswp, const ModuleIndex& idx, LoopContextCache& ctx,
                            DiagEngine& diag) {
+  std::vector<long> blockNet, maxOff;
+  std::vector<Function*> lowerFns;
   for (const auto& sem : dswp.semaphores) {
-    auto li = idx.lowers.find(sem.id);
-    auto ri = idx.raises.find(sem.id);
-    static const std::vector<Site> kNoSites;
-    const std::vector<Site>& lowers = li != idx.lowers.end() ? li->second : kNoSites;
-    const std::vector<Site>& raises = ri != idx.raises.end() ? ri->second : kNoSites;
+    const unsigned slot = idx.semaphores.slot(sem.id);
+    const Span<const Site> lowers = idx.sites(kLower, slot);
+    const Span<const Site> raises = idx.sites(kRaise, slot);
     if (lowers.empty()) {
       if (raises.empty())
         diag.warning({}, semDesc(&sem, sem.id) + " has no raise or lower sites");
       continue;
     }
-    for (Function* f : siteFns(lowers)) {
+    siteFns(idx, lowers, lowerFns);
+    for (Function* f : lowerFns) {
       // Raises in another function may arrive at any point in the schedule;
       // nothing definite can be concluded, so only self-contained functions
       // are checked.
@@ -485,20 +743,22 @@ void checkSemaphoreBalance(const DswpResult& dswp, const ModuleIndex& idx, LoopC
         if (s.fn != f) externalRaisers = true;
       if (externalRaisers) continue;
 
-      const FnLoops& fl = ctx.get(f);
+      FnLoops& fl = ctx.get(f);
 
       // Unbounded lowering: any loop with a constant negative iteration net.
-      std::map<Loop*, std::pair<bool, long>> memo;
-      for (const auto& l : fl.loops.loops()) {
+      LoopSemNets nets(fl, idx, raises, lowers);
+      const auto& loops = fl.loops.loops();
+      for (unsigned l = 0; l < loops.size(); ++l) {
         long net = 0;
-        if (!loopSemNet(fl, l.get(), raises, lowers, memo, net)) continue;
+        if (!nets.net(l, net)) continue;
         if (net >= 0) continue;
         bool hasLower = false;
         for (const Site& s : lowers)
-          if (s.fn == f && l->contains(s.inst->parent())) hasLower = true;
+          if (s.fn == f && loops[l]->contains(s.inst->parent())) hasLower = true;
         if (!hasLower) continue;
-        diag.error({}, "[" + f->name() + "] loop '" + l->header->name() + "': each iteration " +
-                           "lowers " + semDesc(&sem, sem.id) + " " + std::to_string(-net) +
+        diag.error({}, "[" + f->name() + "] loop '" + loops[l]->header->name() +
+                           "': each iteration " + "lowers " + semDesc(&sem, sem.id) + " " +
+                           std::to_string(-net) +
                            " more than it raises it, and no other thread raises it; any " +
                            "initial count is eventually exhausted");
       }
@@ -506,41 +766,40 @@ void checkSemaphoreBalance(const DswpResult& dswp, const ModuleIndex& idx, LoopC
       // Best-case offset dataflow: per-block net + the offset right after
       // each lower, then an iterate-to-fixpoint max over paths (capped;
       // non-convergence means a raising loop, where nothing definite holds).
-      std::unordered_map<BasicBlock*, long> blockNet;
       constexpr long kUnreached = LONG_MIN / 4;
       bool allConst = true;
-      for (auto& bb : f->blocks()) {
-        long net = 0;
-        for (auto& inst : *bb) {
+      blockNet.assign(fl.blocks.size(), 0);
+      for (size_t b = 0; b < fl.blocks.size(); ++b) {
+        for (auto& inst : *fl.blocks[b]) {
           long k = 0;
           if (inst->op() == Opcode::SemRaise && inst->channel() == sem.id) {
             if (!constCount(inst, k)) allConst = false;
-            net += k;
+            blockNet[b] += k;
           } else if (inst->op() == Opcode::SemLower && inst->channel() == sem.id) {
             if (!constCount(inst, k)) allConst = false;
-            net -= k;
+            blockNet[b] -= k;
           }
         }
-        blockNet[bb] = net;
       }
       if (!allConst) continue;
-      std::vector<BasicBlock*> rpo = reversePostOrder(*f);
-      std::unordered_map<BasicBlock*, long> maxOff;
-      for (BasicBlock* bb : rpo) maxOff[bb] = kUnreached;
-      maxOff[f->entry()] = 0;
+      fl.buildPreds(idx);
+      const std::vector<BasicBlock*>& rpo = fl.dom.order();
+      maxOff.assign(fl.blocks.size(), kUnreached);
+      maxOff[0] = 0;  // the entry
       bool converged = false;
       for (size_t pass = 0; pass < rpo.size() + 3 && !converged; ++pass) {
         converged = true;
         for (BasicBlock* bb : rpo) {
-          if (bb == f->entry()) continue;
+          const unsigned b = idx.localBlock(bb);
+          if (b == 0) continue;
           long best = kUnreached;
-          for (BasicBlock* p : bb->predecessors()) {
-            auto mi = maxOff.find(p);
-            if (mi == maxOff.end() || mi->second == kUnreached) continue;
-            best = std::max(best, mi->second + blockNet[p]);
+          for (unsigned k = fl.predBegin[b]; k < fl.predBegin[b + 1]; ++k) {
+            const unsigned p = fl.predList[k];
+            if (maxOff[p] == kUnreached) continue;
+            best = std::max(best, maxOff[p] + blockNet[p]);
           }
-          if (best != maxOff[bb]) {
-            maxOff[bb] = best;
+          if (best != maxOff[b]) {
+            maxOff[b] = best;
             converged = false;
           }
         }
@@ -549,9 +808,8 @@ void checkSemaphoreBalance(const DswpResult& dswp, const ModuleIndex& idx, LoopC
       for (const Site& s : lowers) {
         if (s.fn != f) continue;
         BasicBlock* bb = s.inst->parent();
-        auto mi = maxOff.find(bb);
-        if (mi == maxOff.end() || mi->second == kUnreached) continue;  // unreachable
-        long off = mi->second;
+        long off = maxOff[idx.localBlock(bb)];
+        if (off == kUnreached) continue;  // unreachable
         bool found = false;
         for (auto& inst : *bb) {
           long k = 0;
@@ -597,9 +855,20 @@ void checkSemaphoreBalance(const DswpResult& dswp, const ModuleIndex& idx, LoopC
 // ---------------------------------------------------------------------------
 
 class StartupGame {
-public:
+ public:
   StartupGame(const DswpResult& dswp, const ModuleIndex& idx, DiagEngine& diag)
-      : dswp_(dswp), idx_(idx), diag_(diag) {}
+      : dswp_(dswp),
+        idx_(idx),
+        diag_(diag),
+        state_(idx.numInstructions(), 0),
+        supplied_(idx.channels.size(), 0),
+        raised_(idx.semaphores.size(), 0),
+        started_(idx.numFunctions(), 0),
+        completed_(idx.numFunctions(), 0),
+        parkedOnChannel_(idx.channels.size()),
+        parkedOnSem_(idx.semaphores.size()),
+        parkedOnCall_(idx.numFunctions()),
+        parkedIn_(idx.numFunctions()) {}
 
   void run() {
     if (!dswp_.mainMaster) return;
@@ -609,16 +878,21 @@ public:
       work_.pop_front();
       step(inst);
     }
-    if (!completed_.count(dswp_.mainMaster)) {
+    if (!completed_[fn(dswp_.mainMaster)]) {
       reportDeadlock();
       return;
     }
     reportStuckSlaves();
   }
 
-private:
+ private:
+  enum : uint8_t { kExecuted = 1, kParked = 2 };
+
+  unsigned fn(const Function* f) const { return static_cast<unsigned>(idx_.findFn(f)); }
+
   void start(Function* f) {
-    if (!f || !started_.insert(f).second) return;
+    if (!f || started_[fn(f)]) return;
+    started_[fn(f)] = 1;
     BasicBlock* entry = f->entry();
     if (entry && !entry->empty()) enqueue(entry->front());
   }
@@ -633,9 +907,10 @@ private:
   }
 
   void park(Instruction* inst, std::vector<Instruction*>& queue) {
-    if (parked_.insert(inst).second) {
+    if (!(state_[inst->id()] & kParked)) {
+      state_[inst->id()] |= kParked;
       queue.push_back(inst);
-      parkedIn_[inst->parent()->parent()].push_back(inst);
+      parkedIn_[idx_.fnOf(inst)].push_back(inst);
     } else if (std::find(queue.begin(), queue.end(), inst) == queue.end()) {
       queue.push_back(inst);
     }
@@ -647,44 +922,65 @@ private:
   }
 
   void step(Instruction* inst) {
-    if (executed_.count(inst)) return;
+    if (state_[inst->id()] & kExecuted) return;
     switch (inst->op()) {
-      case Opcode::Consume:
-        if (!supplied_.count(inst->channel())) {
-          park(inst, parkedOnChannel_[inst->channel()]);
-          return;
-        }
-        break;
-      case Opcode::SemLower: {
-        auto si = idx_.semById.find(inst->channel());
-        const bool seeded = si != idx_.semById.end() && si->second->initialCount > 0;
-        if (!seeded && !raised_.count(inst->channel())) {
-          park(inst, parkedOnSem_[inst->channel()]);
+      case Opcode::Consume: {
+        const unsigned slot = idx_.channels.slot(inst->channel());
+        if (!supplied_[slot]) {
+          park(inst, parkedOnChannel_[slot]);
           return;
         }
         break;
       }
-      case Opcode::Call:
-        start(inst->callee());  // the call transfers control into the callee
-        if (!completed_.count(inst->callee())) {
-          park(inst, parkedOnCall_[inst->callee()]);
+      case Opcode::SemLower: {
+        const unsigned slot = idx_.semaphores.slot(inst->channel());
+        const SemaphoreInfo* sem = idx_.semInfo(slot);
+        const bool seeded = sem && sem->initialCount > 0;
+        if (!seeded && !raised_[slot]) {
+          park(inst, parkedOnSem_[slot]);
           return;
         }
         break;
+      }
+      case Opcode::Call: {
+        Function* callee = inst->callee();
+        start(callee);  // the call transfers control into the callee
+        if (!callee) {
+          park(inst, parkedOnNothing_);
+          return;
+        }
+        if (!completed_[fn(callee)]) {
+          park(inst, parkedOnCall_[fn(callee)]);
+          return;
+        }
+        break;
+      }
       default: break;
     }
-    executed_.insert(inst);
-    parked_.erase(inst);
+    state_[inst->id()] = kExecuted;
     switch (inst->op()) {
-      case Opcode::Produce:
-        if (supplied_.insert(inst->channel()).second) wake(parkedOnChannel_[inst->channel()]);
+      case Opcode::Produce: {
+        const unsigned slot = idx_.channels.slot(inst->channel());
+        if (!supplied_[slot]) {
+          supplied_[slot] = 1;
+          wake(parkedOnChannel_[slot]);
+        }
         break;
-      case Opcode::SemRaise:
-        if (raised_.insert(inst->channel()).second) wake(parkedOnSem_[inst->channel()]);
+      }
+      case Opcode::SemRaise: {
+        const unsigned slot = idx_.semaphores.slot(inst->channel());
+        if (!raised_[slot]) {
+          raised_[slot] = 1;
+          wake(parkedOnSem_[slot]);
+        }
         break;
+      }
       case Opcode::Ret: {
-        Function* f = inst->parent()->parent();
-        if (completed_.insert(f).second) wake(parkedOnCall_[f]);
+        const unsigned f = idx_.fnOf(inst);
+        if (!completed_[f]) {
+          completed_[f] = 1;
+          wake(parkedOnCall_[f]);
+        }
         return;  // no successor
       }
       default: break;
@@ -692,38 +988,39 @@ private:
     if (inst->isTerminator()) {
       for (unsigned i = 0; i < inst->numSuccessors(); ++i) {
         BasicBlock* succ = inst->successor(i);
-        if (succ && !succ->empty()) enqueue(succ->front());
+        // A block of no function (erased) was never numbered and cannot
+        // belong to a verified module.
+        if (succ && !succ->empty() && idx_.numbered(succ)) enqueue(succ->front());
       }
       return;
     }
     advance(inst);
   }
 
-  Instruction* firstParkedIn(Function* f) const {
-    auto it = parkedIn_.find(f);
-    if (it == parkedIn_.end()) return nullptr;
-    for (Instruction* inst : it->second)
-      if (parked_.count(inst)) return inst;
+  Instruction* firstParkedIn(const Function* f) const {
+    for (Instruction* inst : parkedIn_[fn(f)])
+      if (state_[inst->id()] & kParked) return inst;
     return nullptr;
   }
 
-  std::string threadDesc(Function* f) const {
-    auto it = idx_.threadName.find(f);
-    if (it != idx_.threadName.end()) return "thread '" + it->second + "' [" + f->name() + "]";
+  std::string threadDesc(const Function* f) const {
+    if (const std::string* origin = idx_.threadOrigin(f))
+      return "thread '" + *origin + "' [" + f->name() + "]";
     return "[" + f->name() + "]";
   }
 
   void reportDeadlock() {
     diag_.error({}, "deadlock: " + threadDesc(dswp_.mainMaster) +
                         " can never reach its return under any schedule");
-    std::unordered_set<Function*> visited;
+    std::vector<uint8_t> visited(idx_.numFunctions(), 0);
     Function* cur = dswp_.mainMaster;
     for (int depth = 0; depth < 20 && cur; ++depth) {
-      if (!visited.insert(cur).second) {
+      if (visited[fn(cur)]) {
         diag_.note({}, "the wait cycle closes at [" + cur->name() + "]");
         return;
       }
-      if (!started_.count(cur)) {
+      visited[fn(cur)] = 1;
+      if (!started_[fn(cur)]) {
         diag_.note({}, "[" + cur->name() + "] never starts executing");
         return;
       }
@@ -737,32 +1034,29 @@ private:
       switch (stuck->op()) {
         case Opcode::Consume: {
           const int ch = stuck->channel();
-          auto ci = idx_.channelById.find(ch);
-          const ChannelInfo* info = ci != idx_.channelById.end() ? ci->second : nullptr;
-          why = at(stuck) + ": blocked consuming " + channelDesc(info, ch);
-          auto pi = idx_.produces.find(ch);
-          if (pi == idx_.produces.end() || pi->second.empty()) {
+          const unsigned slot = idx_.channels.slot(ch);
+          why = at(stuck) + ": blocked consuming " + channelDesc(idx_.channelInfo(slot), ch);
+          const Span<const Site> prods = idx_.sites(kProduce, slot);
+          if (prods.empty()) {
             why += ", which is never produced";
           } else {
-            const Site& prod = pi->second.front();
-            why += ", produced only at " + at(prod.inst) + " (never reached)";
-            next = prod.fn;
+            why += ", produced only at " + at(prods[0].inst) + " (never reached)";
+            next = prods[0].fn;
           }
           break;
         }
         case Opcode::SemLower: {
           const int id = stuck->channel();
-          auto si = idx_.semById.find(id);
-          const SemaphoreInfo* info = si != idx_.semById.end() ? si->second : nullptr;
+          const unsigned slot = idx_.semaphores.slot(id);
+          const SemaphoreInfo* info = idx_.semInfo(slot);
           why = at(stuck) + ": blocked lowering " + semDesc(info, id) + " (initial count " +
                 std::to_string(info ? info->initialCount : 0) + ")";
-          auto ri = idx_.raises.find(id);
-          if (ri == idx_.raises.end() || ri->second.empty()) {
+          const Span<const Site> raises = idx_.sites(kRaise, slot);
+          if (raises.empty()) {
             why += ", which is never raised";
           } else {
-            const Site& raise = ri->second.front();
-            why += ", raised only at " + at(raise.inst) + " (never reached)";
-            next = raise.fn;
+            why += ", raised only at " + at(raises[0].inst) + " (never reached)";
+            next = raises[0].fn;
           }
           break;
         }
@@ -780,13 +1074,12 @@ private:
 
   void reportStuckSlaves() {
     for (const auto& t : dswp_.threads) {
-      if (!t.isSlave) continue;
+      if (!t.isSlave || !t.fn) continue;
       Instruction* stuck = firstParkedIn(t.fn);
       if (!stuck) continue;
       if (stuck->op() == Opcode::Consume) {
-        auto ci = idx_.channelById.find(stuck->channel());
-        if (ci != idx_.channelById.end() &&
-            ci->second->purpose == ChannelInfo::Purpose::Start)
+        const ChannelInfo* ci = idx_.channelInfo(idx_.channels.slot(stuck->channel()));
+        if (ci && ci->purpose == ChannelInfo::Purpose::Start)
           continue;  // idle at the dispatch consume: the normal parked state
       }
       diag_.warning({}, at(stuck) + ": " + threadDesc(t.fn) +
@@ -798,20 +1091,20 @@ private:
   const ModuleIndex& idx_;
   DiagEngine& diag_;
   std::deque<Instruction*> work_;
-  std::unordered_set<Instruction*> executed_, parked_;
-  std::unordered_set<int> supplied_, raised_;
-  std::unordered_set<Function*> completed_, started_;
-  std::unordered_map<int, std::vector<Instruction*>> parkedOnChannel_, parkedOnSem_;
-  std::unordered_map<Function*, std::vector<Instruction*>> parkedOnCall_;
-  std::unordered_map<Function*, std::vector<Instruction*>> parkedIn_;
+  // Per instruction: kExecuted / kParked. Per channel slot: ever produced.
+  // Per semaphore slot: ever raised. Per function: started, completed.
+  std::vector<uint8_t> state_, supplied_, raised_, started_, completed_;
+  std::vector<std::vector<Instruction*>> parkedOnChannel_, parkedOnSem_, parkedOnCall_, parkedIn_;
+  // Calls without a callee never unblock.
+  std::vector<Instruction*> parkedOnNothing_;
 };
 
 }  // namespace
 
 bool verifyPartition(Module& m, const DswpResult& dswp, DiagEngine& diag) {
   const size_t errorsBefore = diag.errorCount();
-  ModuleIndex idx = buildIndex(m, dswp, diag);
-  auto endpoints = checkEndpoints(idx, dswp, diag);
+  ModuleIndex idx(m, dswp, diag);
+  const Endpoints endpoints = checkEndpoints(idx, dswp, diag);
   LoopContextCache ctx(idx);
   checkChannelBalance(endpoints, idx, ctx, diag);
   checkSemaphoreBalance(dswp, idx, ctx, diag);

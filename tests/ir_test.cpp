@@ -198,6 +198,204 @@ TEST_F(IRFixture, VerifierChecksPhiIncoming) {
   EXPECT_TRUE(verifyFunction(*f, diag2)) << diag2.str();
 }
 
+// --- Dominance edge cases, pinned with their exact diagnostic text ----------
+
+/// entry: condbr (a == 0), then, else; both arms branch to join; join
+/// returns through one instruction. Values are named so diagnostics read
+/// %name, independent of instruction ids.
+struct Diamond {
+  Function* f;
+  Argument* a;
+  BasicBlock* entry;
+  BasicBlock* then;
+  BasicBlock* els;
+  BasicBlock* join;
+};
+
+Diamond makeDiamond(Module& m, IRBuilder& b, const std::string& name) {
+  Diamond d;
+  d.f = m.createFunction(name, m.types().i32());
+  d.a = d.f->addArg(m.types().i32(), "a");
+  d.entry = d.f->createBlock("entry");
+  d.then = d.f->createBlock("then");
+  d.els = d.f->createBlock("else");
+  d.join = d.f->createBlock("join");
+  b.setInsertPoint(d.entry);
+  Instruction* c = b.cmp(Opcode::CmpEQ, d.a, m.i32Const(0));
+  c->setName("c");
+  b.condBr(c, d.then, d.els);
+  return d;
+}
+
+TEST_F(IRFixture, VerifierRejectsJoinUseOfOneArmValue) {
+  Diamond d = makeDiamond(m, b, "diamond");
+  b.setInsertPoint(d.then);
+  Instruction* x = b.add(d.a, m.i32Const(1));
+  x->setName("x");
+  b.br(d.join);
+  b.setInsertPoint(d.els);
+  b.br(d.join);
+  b.setInsertPoint(d.join);
+  Instruction* y = b.add(x, m.i32Const(2));
+  y->setName("y");
+  b.ret(y);
+  EXPECT_EQ(verifyToString(m),
+            "error: [diamond] use of %x in %y = add i32 %x, 2 is not dominated by its "
+            "definition\n");
+}
+
+TEST_F(IRFixture, VerifierRejectsSameBlockUseBeforeDef) {
+  Function* f = m.createFunction("early", m.types().i32());
+  Argument* a = f->addArg(m.types().i32(), "a");
+  BasicBlock* e = f->createBlock("entry");
+  b.setInsertPoint(e);
+  Instruction* d = b.add(a, m.i32Const(2));
+  d->setName("d");
+  b.setInsertPoint(e, e->iteratorTo(d));
+  Instruction* u = b.add(d, m.i32Const(1));
+  u->setName("u");
+  b.setInsertPoint(e);
+  b.ret(u);
+  EXPECT_EQ(verifyToString(m),
+            "error: [early] use of %d in %u = add i32 %d, 1 is not dominated by its "
+            "definition\n");
+}
+
+TEST_F(IRFixture, VerifierRejectsPhiIncomingThatDoesNotDominateItsEdge) {
+  Diamond d = makeDiamond(m, b, "edge");
+  b.setInsertPoint(d.then);
+  Instruction* x = b.add(d.a, m.i32Const(1));
+  x->setName("x");
+  b.br(d.join);
+  b.setInsertPoint(d.els);
+  b.br(d.join);
+  b.setInsertPoint(d.join);
+  Instruction* p = b.phi(m.types().i32());
+  p->setName("p");
+  p->addIncoming(x, d.then);
+  p->addIncoming(x, d.els);  // %x is defined on the other arm
+  b.ret(p);
+  EXPECT_EQ(verifyToString(m),
+            "error: [edge] phi incoming value %x does not dominate edge from %else\n");
+}
+
+TEST_F(IRFixture, VerifierRejectsPhiNamingANonPredecessor) {
+  Diamond d = makeDiamond(m, b, "stranger");
+  b.setInsertPoint(d.then);
+  b.br(d.join);
+  b.setInsertPoint(d.els);
+  b.br(d.join);
+  b.setInsertPoint(d.join);
+  Instruction* p = b.phi(m.types().i32());
+  p->setName("p");
+  p->addIncoming(m.i32Const(1), d.then);
+  p->addIncoming(m.i32Const(2), d.entry);  // entry branches to the arms, not here
+  b.ret(p);
+  EXPECT_EQ(verifyToString(m), "error: [stranger] phi in %join names non-predecessor %entry\n");
+}
+
+TEST_F(IRFixture, VerifierSkipsBadUsesInUnreachableBlocks) {
+  Function* f = m.createFunction("deadcode", m.types().i32());
+  BasicBlock* e = f->createBlock("entry");
+  BasicBlock* dead = f->createBlock("dead");
+  b.setInsertPoint(e);
+  b.ret(m.i32Const(0));
+  b.setInsertPoint(dead);
+  Instruction* v = b.add(m.i32Const(1), m.i32Const(2));
+  v->setName("v");
+  b.setInsertPoint(dead, dead->iteratorTo(v));
+  Instruction* u = b.add(v, m.i32Const(3));  // use before def, but never executed
+  u->setName("u");
+  b.setInsertPoint(dead);
+  b.ret(u);
+  EXPECT_EQ(verifyToString(m), "");
+}
+
+/// entry branches into both A and B, which branch to each other: a loop with
+/// two entries, so neither block dominates the other.
+TEST_F(IRFixture, VerifierHandlesIrreducibleTwoEntryLoop) {
+  Function* f = m.createFunction("irreducible", m.types().i32());
+  Argument* a = f->addArg(m.types().i32(), "a");
+  BasicBlock* e = f->createBlock("entry");
+  BasicBlock* ba = f->createBlock("A");
+  BasicBlock* bb = f->createBlock("B");
+  BasicBlock* x = f->createBlock("exit");
+  b.setInsertPoint(e);
+  Instruction* c = b.cmp(Opcode::CmpEQ, a, m.i32Const(0));
+  c->setName("c");
+  b.condBr(c, ba, bb);
+  b.setInsertPoint(ba);
+  Instruction* pa = b.phi(m.types().i32());
+  pa->setName("pa");
+  b.setInsertPoint(ba);
+  Instruction* va = b.add(pa, m.i32Const(1));
+  va->setName("va");
+  b.condBr(c, bb, x);
+  b.setInsertPoint(bb);
+  Instruction* pb = b.phi(m.types().i32());
+  pb->setName("pb");
+  b.setInsertPoint(bb);
+  Instruction* vb = b.add(pb, m.i32Const(2));
+  vb->setName("vb");
+  b.br(ba);
+  b.setInsertPoint(x);
+  b.ret(va);
+  pa->addIncoming(a, e);
+  pa->addIncoming(vb, bb);
+  pb->addIncoming(a, e);
+  pb->addIncoming(va, ba);
+  EXPECT_EQ(verifyToString(m), "");
+
+  // A use in B of a value defined in A is not dominated: B is entered
+  // straight from entry too.
+  vb->setOperand(1, va);
+  EXPECT_EQ(verifyToString(m),
+            "error: [irreducible] use of %va in %vb = add i32 %pb, %va is not dominated by "
+            "its definition\n");
+}
+
+TEST_F(IRFixture, VerifierRejectsSelfUse) {
+  Function* f = m.createFunction("selfuse", m.types().i32());
+  BasicBlock* e = f->createBlock("entry");
+  b.setInsertPoint(e);
+  Instruction* t = b.add(m.i32Const(0), m.i32Const(2));
+  t->setName("t");
+  t->setOperand(0, t);  // %t = add i32 %t, 2
+  b.ret(t);
+  EXPECT_EQ(verifyToString(m),
+            "error: [selfuse] use of %t in %t = add i32 %t, 2 is not dominated by its "
+            "definition\n");
+}
+
+/// Diagnostics name unnamed values %tN by instruction id; verification must
+/// leave those ids as the caller numbered them.
+TEST_F(IRFixture, VerifierLeavesInstructionIdsAsFound) {
+  Diamond d = makeDiamond(m, b, "ids");
+  b.setInsertPoint(d.then);
+  Instruction* x = b.add(d.a, m.i32Const(1));
+  b.br(d.join);
+  b.setInsertPoint(d.els);
+  b.br(d.join);
+  b.setInsertPoint(d.join);
+  Instruction* y = b.add(x, m.i32Const(2));
+  b.ret(y);
+  unsigned next = 40;
+  std::vector<unsigned> before;
+  for (auto& bb : d.f->blocks())
+    for (auto& inst : *bb) {
+      inst->setId(next);
+      before.push_back(next);
+      next += 3;
+    }
+  EXPECT_EQ(verifyToString(m),
+            "error: [ids] use of %t46 in %t55 = add i32 %t46, 2 is not dominated by its "
+            "definition\n");
+  std::vector<unsigned> after;
+  for (auto& bb : d.f->blocks())
+    for (auto& inst : *bb) after.push_back(inst->id());
+  EXPECT_EQ(before, after);
+}
+
 TEST_F(IRFixture, PrinterSmokeTest) {
   makeAdder();
   std::string text = printModule(m);

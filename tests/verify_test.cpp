@@ -11,10 +11,13 @@
 //    extractor constructs balanced protocols by construction.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "src/chstone/kernels.h"
 #include "src/driver/driver.h"
 #include "src/dswp/extract.h"
 #include "src/frontend/lower.h"
+#include "src/fuzz/progen.h"
 #include "src/ir/builder.h"
 #include "src/transforms/passes.h"
 #include "src/verify/partition_verifier.h"
@@ -360,6 +363,68 @@ TEST(PartitionVerifierSweepTest, ChstoneGridHasNoFalsePositives) {
       }
     }
   }
+}
+
+// --- Verdicts on generated programs -------------------------------------------
+//
+// generateProgram seeds through runBenchmark's verify-only path at K = 0 and
+// K = 4 (sw-fraction 0.1). The four rejects are the known extractor <->
+// verifier gap: orphan consumes on seeds 43 and 149 and unbalanced matched
+// loops on seed 96, on pipelines that simulate to the golden checksum with
+// verification off. Every other run verifies clean. The full diagnostic
+// text is pinned so a rebuilt verifier must say the same thing; closing the
+// gap will change these pins on purpose.
+TEST(PartitionVerifierSweepTest, ProgenVerdictsArePinned) {
+  const std::vector<std::string> seed149 = {
+      "error: [main_dswp_1] block 'f0.if.then.0.p1': consumes channel 7 (main:v41->1) which no "
+      "function produces; the consume can never unblock",
+      "error: [main_dswp_1] block 'f0.if.then.0.p1': consumes channel 8 (main:v62->1) which no "
+      "function produces; the consume can never unblock",
+      "warning: [main_dswp_1] block 'f0.if.then.0.p1': thread 'main#1' [main_dswp_1] can stall "
+      "here; no schedule unblocks this operation"};
+  auto unbalanced = [](const std::string& fn, int ch, const std::string& v) {
+    return "error: [" + fn + "_dswp_2] block 'f0.for.cond.6.p2': channel " + std::to_string(ch) +
+           " (" + fn + ":" + v + "->2) is unbalanced: [" + fn +
+           "_dswp_1] produces 0 per iteration of matched loop "
+           "'f0.do.body.0/f0.while.cond.3/f0.for.cond.6' but [" + fn +
+           "_dswp_2] consumes 1; the queue drifts until it overflows or starves";
+  };
+  const std::map<std::pair<uint64_t, unsigned>, std::vector<std::string>> rejects = {
+      {{43, 0},
+       {"error: [main_dswp_1] block 'cond.else.79.p1': consumes channel 8 (main:v11->1) which "
+        "no function produces; the consume can never unblock",
+        "warning: [main_dswp_1] block 'cond.else.79.p1': thread 'main#1' [main_dswp_1] can "
+        "stall here; no schedule unblocks this operation"}},
+      {{96, 4},
+       {unbalanced("f2", 10, "v37"), unbalanced("f2", 11, "v39"), unbalanced("f3", 32, "v221"),
+        unbalanced("f3", 33, "v223")}},
+      {{149, 0}, seed149},
+      {{149, 4}, seed149},
+  };
+  std::vector<uint64_t> seeds;
+  for (uint64_t s = 1; s <= 103; ++s) seeds.push_back(s);
+  seeds.push_back(149);
+  unsigned accepted = 0;
+  for (uint64_t seed : seeds) {
+    const std::string src = generateProgram(seed);
+    for (unsigned parts : {0u, 4u}) {
+      DriverOptions opts;
+      opts.verifyOnly = true;
+      opts.dswp.numPartitions = parts;
+      opts.dswp.swFraction = 0.1;
+      const BenchmarkReport r = runBenchmark("progen", src, opts);
+      auto it = rejects.find({seed, parts});
+      if (it == rejects.end()) {
+        EXPECT_TRUE(r.ok) << "seed " << seed << " K=" << parts << ": " << r.error;
+        accepted += r.ok;
+        continue;
+      }
+      EXPECT_FALSE(r.ok) << "seed " << seed << " K=" << parts;
+      EXPECT_EQ(r.failureKind, FailureKind::Verify) << "seed " << seed << " K=" << parts;
+      EXPECT_EQ(r.verifyDiagnostics, it->second) << "seed " << seed << " K=" << parts;
+    }
+  }
+  EXPECT_EQ(accepted, 2 * seeds.size() - rejects.size());
 }
 
 // --- Driver wiring ------------------------------------------------------------

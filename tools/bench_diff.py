@@ -13,9 +13,10 @@ Wall-clock fields (*_wall_ms) are machine-dependent and never fail the gate;
 a >10% regression (configurable) prints a warning so perf erosion is visible
 in the job log. The compile stages get their own budget: the per-kernel
 stage table always prints, and a >15% regression (configurable) of the
-summed parse/lower/passes/pdg/dswp/schedule time across all kernels prints
-a warning — compile cost multiplies under explorer grids and a caching
-twilld, so erosion there must be visible even while sim dominates.
+summed stage time (parse/lower/passes/ir_verify/pdg/dswp/verify/schedule)
+across all kernels prints a warning — compile cost multiplies under
+explorer grids and a caching twilld, so erosion there must be visible even
+while sim dominates.
 
 Usage: bench_diff.py BASELINE NEW [--wall-tolerance 0.10] [--stage-tolerance 0.15]
 """

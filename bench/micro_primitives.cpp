@@ -25,7 +25,7 @@ void BM_QueueHandshake(benchmark::State& state) {
   FabricConfig fc;
   fc.queueCapacity = 8;
   Fabric fabric(fc);
-  fabric.addQueue(0, 32);
+  fabric.addQueue(0);
   ThreadPort producer(fabric, /*isHW=*/true);
   ThreadPort consumer(fabric, /*isHW=*/true);
   uint64_t now = 0;

@@ -147,14 +147,6 @@ bool DomTree::dominates(BasicBlock* a, BasicBlock* b) const {
   return false;
 }
 
-BasicBlock* DomTree::nearestCommonDominator(BasicBlock* a, BasicBlock* b) const {
-  auto ia = number_.find(a);
-  auto ib = number_.find(b);
-  if (ia == number_.end() || ib == number_.end()) return nullptr;
-  int r = intersectIdx(ia->second, ib->second);
-  return r < 0 ? nullptr : order_[r];
-}
-
 void DomTree::buildFrontiers() {
   frontiersBuilt_ = true;
   for (BasicBlock* bb : order_) frontiers_[bb];  // materialize empty sets

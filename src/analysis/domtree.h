@@ -16,8 +16,6 @@ public:
   /// all `ret` blocks become children of a virtual root (nullptr).
   void build(Function& f, bool postDom);
 
-  bool isPostDom() const { return post_; }
-
   /// Immediate dominator; nullptr for the root (entry block, or the virtual
   /// postdom root) and for blocks unreachable in the traversal direction.
   BasicBlock* idom(BasicBlock* bb) const;
@@ -25,15 +23,8 @@ public:
   /// True if `a` dominates `b` (reflexive). Unreachable blocks dominate
   /// nothing and are dominated by nothing.
   bool dominates(BasicBlock* a, BasicBlock* b) const;
-  /// Strict dominance.
-  bool properlyDominates(BasicBlock* a, BasicBlock* b) const {
-    return a != b && dominates(a, b);
-  }
 
   bool isReachable(BasicBlock* bb) const { return number_.count(bb) != 0; }
-
-  /// Nearest common (post)dominator; nullptr = virtual root (postdom only).
-  BasicBlock* nearestCommonDominator(BasicBlock* a, BasicBlock* b) const;
 
   /// Blocks in the traversal order used to build the tree (RPO of the
   /// direction), handy for iteration.

@@ -104,7 +104,7 @@ void seedSemaphores(const DswpResult& dswp, ChannelIO& chans);
 /// Runs DSWP over the whole module (bottom-up over the call graph),
 /// replacing each partitioned function with its master + slave functions and
 /// redirecting call sites to the masters. The module must already be
-/// canonicalized (runDefaultPipeline: mem2reg, mergereturn, lowerswitch...).
+/// canonicalized (runDefaultPipeline: mem2reg, mergereturn, loop-simplify...).
 DswpResult runDswp(Module& m, const DswpConfig& config);
 
 }  // namespace twill

@@ -230,20 +230,6 @@ void DecodedProgram::decode(Function* f, DecodedFunction& df) {
             d.edge0 = decodeEdge(bb, inst->successor(0), d);
             d.edge1 = decodeEdge(bb, inst->successor(1), d);
             break;
-          case Opcode::Switch: {
-            d.evalBits = static_cast<uint8_t>(operandBits(inst->operand(0)));
-            setOpnd(d, 0, inst->operand(0));
-            d.edge0 = decodeEdge(bb, inst->successor(0), d);  // default
-            d.caseBegin = static_cast<uint32_t>(df.cases.size());
-            for (unsigned i = 2; i + 1 < inst->numOperands(); i += 2) {
-              DecodedCase dc;
-              dc.value = static_cast<uint32_t>(cast<Constant>(inst->operand(i))->zext());
-              dc.edge = decodeEdge(bb, static_cast<BasicBlock*>(inst->operand(i + 1)), d);
-              df.cases.push_back(dc);
-            }
-            d.caseCount = static_cast<uint32_t>(df.cases.size()) - d.caseBegin;
-            break;
-          }
           case Opcode::Ret:
             if (inst->numOperands()) {
               d.flags |= DecodedInst::kRetHasValue;

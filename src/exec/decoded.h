@@ -56,23 +56,18 @@ struct DecodedEdge {
   bool overlaps = false;
 };
 
-struct DecodedCase {
-  uint32_t value = 0;
-  uint32_t edge = 0;
-};
-
 struct DecodedFunction;
 
 /// Superinstruction record: the superblock tier's compact (32-byte) mirror
 /// of one DecodedInst. Built 1:1 with DecodedFunction::insts, so any pc is
 /// a valid dispatch point; the trace runner (ExecState::runSuper,
-/// src/exec/superblock.h) streams these instead of the 96-byte DecodedInst
+/// src/exec/superblock.h) streams these instead of the 88-byte DecodedInst
 /// records, executing a whole basic block — and, through fused `kJump`
 /// records, whole chains of fall-through blocks — per dispatch. Only the
 /// operand slots and widths the straight-line arms read are carried;
-/// everything colder (switch case pools, call argument pools, HLS block
-/// costs, trap messages) stays on the DecodedInst and is fetched through
-/// the pc on the rare exits.
+/// everything colder (call argument pools, HLS block costs, trap messages)
+/// stays on the DecodedInst and is fetched through the pc on the rare
+/// exits.
 struct SuperOp {
   /// Dispatch code: values below kJump are the Opcode ordinal of a
   /// straight-line op ("execute and fall through to pc+1"); the named codes
@@ -84,8 +79,6 @@ struct SuperOp {
     kJump0,       // copy-free Br: aux is the target pc, pure goto
     kCond,        // CondBr: evaluate and follow an edge in-trace
     kCond0,       // copy-free CondBr: b/c are the true/false target pcs
-    kSwitch,      // Switch: linear case scan (cold data via the DecodedInst)
-    kSwitchDense, // Switch: O(1) jump table in superSwitchPool (b=min, c=len)
     kRet,         // return: pop a frame (or finish the program)
     kCall,        // call: push a frame, trace continues in the callee
     kSlow,        // channel op or poisoned record: per-inst step() only
@@ -100,12 +93,11 @@ struct SuperOp {
   uint8_t accessBytes = 4;  // load/store byte size
   uint8_t flags = 0;        // DecodedInst::kHasResult / kRetHasValue
   uint16_t swCost = 0;      // pre-computed swCycles()
-  uint32_t a = 0, b = 0, c = 0;    // operand slots (kCond0: b/c target pcs;
-                                   // kSwitchDense: b = min value, c = table len)
+  uint32_t a = 0, b = 0, c = 0;    // operand slots (kCond0: b/c target pcs)
   uint32_t resSlot = 0;
   uint32_t resMask = 0xFFFFFFFFu;
   uint32_t aux = 1;  // gep element byte scale; kJump: edge index; kJump0:
-                     // target pc; kSwitchDense: superSwitchPool offset
+                     // target pc
 };
 
 /// Status of one ExecState::runSuper invocation (src/exec/superblock.h).
@@ -117,10 +109,10 @@ enum class SuperRunStatus : uint8_t {
 };
 
 /// Packed execution record for one instruction. Fixed operand fields a/b/c
-/// cover every opcode with up to three operands; calls and switches spill
-/// into the per-function side pools. All operands are frame slot indices —
-/// immediates were folded into the frame constant pool at decode time — so
-/// the hot loop reads `slots[d.a]` unconditionally.
+/// cover every opcode with up to three operands; calls spill their
+/// arguments into a per-function side pool. All operands are frame slot
+/// indices — immediates were folded into the frame constant pool at decode
+/// time — so the hot loop reads `slots[d.a]` unconditionally.
 struct DecodedInst {
   static constexpr uint8_t kHasResult = 1u << 0;
   static constexpr uint8_t kRetHasValue = 1u << 1;
@@ -128,7 +120,7 @@ struct DecodedInst {
 
   Opcode op = Opcode::Add;
   uint8_t flags = 0;
-  uint8_t evalBits = 32;    // operand-0 width (binary/compare/cast-from/switch)
+  uint8_t evalBits = 32;    // operand-0 width (binary/compare/cast-from)
   uint8_t auxBits = 32;     // cast to-width / gep index width
   uint8_t accessBytes = 4;  // load/store byte size
   uint16_t swCost = 0;      // pre-computed swCycles()
@@ -137,9 +129,8 @@ struct DecodedInst {
   uint32_t resMask = 0xFFFFFFFFu;  // result mask (instruction type width)
   uint32_t scale = 1;       // gep element byte scale
   int32_t channel = -1;     // produce/consume/semaphore id
-  uint32_t edge0 = 0;       // Br/CondBr-true/Switch-default edge index
+  uint32_t edge0 = 0;       // Br/CondBr-true edge index
   uint32_t edge1 = 0;       // CondBr-false edge index
-  uint32_t caseBegin = 0, caseCount = 0;  // Switch case pool range
   uint32_t hlsStatic = 1;   // parent block static FSM cycles (terminators)
   uint32_t hlsII = 1;       // parent block pipelined initiation interval
   uint32_t blockUid = 0;    // program-wide block id (steady-state tracking)
@@ -161,15 +152,12 @@ struct DecodedFunction {
   std::vector<DecodedInst> insts;        // block order, phis elided
   std::vector<DecodedEdge> edges;
   std::vector<PhiCopy> phiCopies;
-  std::vector<DecodedCase> cases;
   std::vector<uint32_t> callArgs;        // argument source slots
   std::vector<uint32_t> constPool;
   std::vector<std::string> trapMessages;
   /// Superblock tier: one compact record per DecodedInst (same indexing),
   /// built by buildSuperOps (src/exec/superblock.h) at decode time.
   std::vector<SuperOp> sops;
-  /// Dense switch jump tables (edge indices) for kSwitchDense records.
-  std::vector<uint32_t> superSwitchPool;
 };
 
 /// Decode cache for one module snapshot. Functions are decoded on first use

@@ -5,7 +5,6 @@ namespace twill {
 void buildSuperOps(DecodedFunction& df) {
   df.sops.clear();
   df.sops.resize(df.insts.size());
-  df.superSwitchPool.clear();
   // A CFG edge is "free" when taking it is a pure goto: no phi copies and
   // no decode-time trap. Free edges get the specialized direct-jump
   // dispatch codes (no takeEdge call in the trace runner).
@@ -47,33 +46,6 @@ void buildSuperOps(DecodedFunction& df) {
           so.kind = SuperOp::kCond;
         }
         break;
-      case Opcode::Switch: {
-        so.kind = SuperOp::kSwitch;
-        if (d.caseCount > 0) {
-          const DecodedCase* cs = df.cases.data() + d.caseBegin;
-          uint32_t minV = cs[0].value, maxV = cs[0].value;
-          for (uint32_t i = 1; i < d.caseCount; ++i) {
-            minV = cs[i].value < minV ? cs[i].value : minV;
-            maxV = cs[i].value > maxV ? cs[i].value : maxV;
-          }
-          const uint64_t span = static_cast<uint64_t>(maxV) - minV + 1;
-          if (span <= 1024) {
-            // Dense table: O(1) dispatch instead of a linear case scan.
-            // First-wins fill preserves the scan's duplicate-case semantics.
-            so.kind = SuperOp::kSwitchDense;
-            so.b = minV;
-            so.c = static_cast<uint32_t>(span);
-            so.aux = static_cast<uint32_t>(df.superSwitchPool.size());
-            df.superSwitchPool.resize(df.superSwitchPool.size() + span, d.edge0);
-            uint32_t* tbl = df.superSwitchPool.data() + so.aux;
-            for (uint32_t i = 0; i < d.caseCount; ++i) {
-              uint32_t& slot = tbl[cs[i].value - minV];
-              if (slot == d.edge0) slot = cs[i].edge;
-            }
-          }
-        }
-        break;
-      }
       case Opcode::Ret:
         so.kind = SuperOp::kRet;
         break;

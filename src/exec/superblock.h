@@ -10,7 +10,9 @@
 // under direct-threaded dispatch (each handler ends in its own indirect
 // branch, so the BTB learns each site's successor instead of one shared
 // mispredicting site), unconditional branches are fused `kJump` records
-// that chain fall-through blocks (phi copies included) into one trace, and
+// that chain fall-through blocks (phi copies included) into one trace,
+// two-way branches follow their edge in-trace (the IR has no multiway
+// branch: a C `switch` reaches it as a compare/branch chain), and
 // calls/returns just swap the frame window and keep running. The runner
 // leaves the loop only for a channel operation or a poisoned record
 // (`kSlow` — step()'s own arms), a trap, program completion, or when the
@@ -129,8 +131,9 @@ SuperRunStatus ExecState::runSuper(Model& model) {
   // Label table indexed by SuperOp::kind: Opcode ordinals first (keep in
   // Opcode declaration order; opcodes that never appear as a dispatch code
   // map to the defensive slow handler), padding up to kJump, then the exit
-  // codes.
-  static const void* const kTbl[SuperOp::kSlow + 1] = {
+  // codes. The bound is left to the initializer so the static_assert below
+  // rejects a short table, whose missing entries would be null labels.
+  static const void* const kTbl[] = {
       // Binary (13).
       &&lbl_op_Add, &&lbl_op_Sub, &&lbl_op_Mul, &&lbl_op_SDiv, &&lbl_op_UDiv, &&lbl_op_SRem,
       &&lbl_op_URem, &&lbl_op_And, &&lbl_op_Or, &&lbl_op_Xor, &&lbl_op_Shl, &&lbl_op_LShr,
@@ -144,17 +147,18 @@ SuperRunStatus ExecState::runSuper(Model& model) {
       &&lbl_op_PtrToInt, &&lbl_op_IntToPtr,
       // Memory (4).
       &&lbl_op_Alloca, &&lbl_op_Load, &&lbl_op_Store, &&lbl_op_Gep,
-      // Phi..SemLower (10) never appear as dispatch codes.
+      // Phi..SemLower (9) never appear as dispatch codes.
       &&lbl_kind_kSlow, &&lbl_kind_kSlow, &&lbl_kind_kSlow, &&lbl_kind_kSlow, &&lbl_kind_kSlow,
-      &&lbl_kind_kSlow, &&lbl_kind_kSlow, &&lbl_kind_kSlow, &&lbl_kind_kSlow, &&lbl_kind_kSlow,
+      &&lbl_kind_kSlow, &&lbl_kind_kSlow, &&lbl_kind_kSlow, &&lbl_kind_kSlow,
       // Padding up to kJump = 48.
       &&lbl_kind_kSlow, &&lbl_kind_kSlow, &&lbl_kind_kSlow, &&lbl_kind_kSlow, &&lbl_kind_kSlow,
-      // Exits: kJump, kJump0, kCond, kCond0, kSwitch, kSwitchDense, kRet,
-      // kCall, kSlow.
-      &&lbl_kind_kJump, &&lbl_kind_kJump0, &&lbl_kind_kCond, &&lbl_kind_kCond0,
-      &&lbl_kind_kSwitch, &&lbl_kind_kSwitchDense, &&lbl_kind_kRet, &&lbl_kind_kCall,
       &&lbl_kind_kSlow,
+      // Exits: kJump, kJump0, kCond, kCond0, kRet, kCall, kSlow.
+      &&lbl_kind_kJump, &&lbl_kind_kJump0, &&lbl_kind_kCond, &&lbl_kind_kCond0,
+      &&lbl_kind_kRet, &&lbl_kind_kCall, &&lbl_kind_kSlow,
   };
+  static_assert(sizeof(kTbl) / sizeof(kTbl[0]) == SuperOp::kSlow + 1,
+                "kTbl needs one label per dispatch code, in SuperOp::Kind order");
   TWILL_SUPER_NEXT();
 
 #else  // !TWILL_SUPER_THREADED
@@ -336,37 +340,6 @@ SuperRunStatus ExecState::runSuper(Model& model) {
           fr->pc = pc;
           TWILL_SUPER_STOP(kBudget);
         }
-        TWILL_SUPER_NEXT();
-      }
-      TWILL_SUPER_LABEL_KIND(kSwitch) {
-        const SuperOp& so = sops[pc];
-        TWILL_SUPER_PRE();
-        const DecodedInst& d = insts[pc];
-        const uint32_t v = maskToBits(slots[so.a], so.evalBits);
-        uint32_t edge = d.edge0;  // default
-        const DecodedCase* cs = df->cases.data() + d.caseBegin;
-        for (uint32_t i = 0; i < d.caseCount; ++i) {
-          if (cs[i].value == v) {
-            edge = cs[i].edge;
-            break;
-          }
-        }
-        if (!takeEdge(*fr, *df, edge)) TWILL_SUPER_STOP(kTrapped);
-        pc = fr->pc;
-        ++retired;
-        if (!model.endTerm(d)) TWILL_SUPER_STOP(kBudget);
-        TWILL_SUPER_NEXT();
-      }
-      TWILL_SUPER_LABEL_KIND(kSwitchDense) {
-        const SuperOp& so = sops[pc];
-        TWILL_SUPER_PRE();
-        const DecodedInst& d = insts[pc];
-        const uint32_t off = maskToBits(slots[so.a], so.evalBits) - so.b;
-        const uint32_t edge = off < so.c ? df->superSwitchPool[so.aux + off] : d.edge0;
-        if (!takeEdge(*fr, *df, edge)) TWILL_SUPER_STOP(kTrapped);
-        pc = fr->pc;
-        ++retired;
-        if (!model.endTerm(d)) TWILL_SUPER_STOP(kBudget);
         TWILL_SUPER_NEXT();
       }
       TWILL_SUPER_LABEL_KIND(kRet) {

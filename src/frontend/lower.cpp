@@ -1,5 +1,6 @@
 #include "src/frontend/lower.h"
 
+#include <algorithm>
 #include <functional>
 
 #include "src/frontend/lexer.h"
@@ -345,75 +346,84 @@ void Lowerer::lowerFor(const Stmt& s) {
 void Lowerer::lowerSwitch(const Stmt& s) {
   RV v = promote(lowerExpr(*s.cond));
   BasicBlock* exitBB = newBlock("sw.end");
-  // First pass: create a block per case label, in source order.
+  // Case label values fold over the AST (simple constant folding).
+  std::function<uint32_t(const Expr&)> fold = [&](const Expr& e) -> uint32_t {
+    switch (e.kind) {
+      case ExprKind::IntLit: return static_cast<uint32_t>(e.intValue);
+      case ExprKind::Unary:
+        if (e.unOp == UnOp::Neg) return 0u - fold(*e.a);
+        if (e.unOp == UnOp::BitNot) return ~fold(*e.a);
+        if (e.unOp == UnOp::Plus) return fold(*e.a);
+        break;
+      case ExprKind::Binary: {
+        uint32_t x = fold(*e.a), y = fold(*e.b);
+        switch (e.binOp) {
+          case BinOp::Add: return x + y;
+          case BinOp::Sub: return x - y;
+          case BinOp::Mul: return x * y;
+          case BinOp::Shl: return x << (y & 31);
+          case BinOp::Or: return x | y;
+          default: break;
+        }
+        break;
+      }
+      default: break;
+    }
+    error(e.loc, "case label is not a constant expression");
+    return 0;
+  };
+  // First pass: a block per label, in source order. A case value is
+  // interned in the selector's type, so duplicates compare after that
+  // conversion (C11 6.8.4.2p3).
   struct CaseEntry {
-    uint32_t value = 0;
-    bool isDefault = false;
+    Constant* value = nullptr;  // null for `default`
     BasicBlock* block = nullptr;
     size_t firstStmt = 0;  // index into s.thenS->body
   };
   std::vector<CaseEntry> cases;
+  std::vector<Constant*> folded;  // values of the labels that folded
+  BasicBlock* defaultBB = nullptr;
+  size_t numLabels = 0;
   const auto& body = s.thenS->body;
   for (size_t i = 0; i < body.size(); ++i) {
     const Stmt& st = *body[i];
-    if (st.kind == StmtKind::Case || st.kind == StmtKind::Default) {
-      CaseEntry ce;
-      ce.isDefault = st.kind == StmtKind::Default;
-      ce.block = newBlock(ce.isDefault ? "sw.default" : "sw.case");
-      ce.firstStmt = i + 1;
-      cases.push_back(std::move(ce));
-    }
-  }
-  // Fold the case label values (simple constant folding over the AST).
-  {
-    size_t ci = 0;
-    for (size_t i = 0; i < body.size(); ++i) {
-      const Stmt& st = *body[i];
-      if (st.kind == StmtKind::Case) {
-        std::function<uint32_t(const Expr&)> fold = [&](const Expr& e) -> uint32_t {
-          switch (e.kind) {
-            case ExprKind::IntLit: return static_cast<uint32_t>(e.intValue);
-            case ExprKind::Unary:
-              if (e.unOp == UnOp::Neg) return 0u - fold(*e.a);
-              if (e.unOp == UnOp::BitNot) return ~fold(*e.a);
-              if (e.unOp == UnOp::Plus) return fold(*e.a);
-              break;
-            case ExprKind::Binary: {
-              uint32_t x = fold(*e.a), y = fold(*e.b);
-              switch (e.binOp) {
-                case BinOp::Add: return x + y;
-                case BinOp::Sub: return x - y;
-                case BinOp::Mul: return x * y;
-                case BinOp::Shl: return x << (y & 31);
-                case BinOp::Or: return x | y;
-                default: break;
-              }
-              break;
-            }
-            default: break;
-          }
-          error(e.loc, "case label is not a constant expression");
-          return 0;
-        };
-        cases[ci].value = fold(*st.caseValue);
+    if (st.kind != StmtKind::Case && st.kind != StmtKind::Default) continue;
+    CaseEntry ce;
+    ce.firstStmt = i + 1;
+    if (st.kind == StmtKind::Default) {
+      if (defaultBB) error(st.loc, "multiple default labels in one switch");
+      ce.block = defaultBB = newBlock("sw.default");
+    } else {
+      ce.block = newBlock("sw.case");
+      const size_t errors = diag_.errorCount();
+      ce.value = m_.constant(v.v->type(), fold(*st.caseValue));
+      // A label that did not fold is already an error and has no value.
+      if (diag_.errorCount() == errors) {
+        if (std::find(folded.begin(), folded.end(), ce.value) != folded.end())
+          error(st.loc, "duplicate case value");
+        folded.push_back(ce.value);
       }
-      if (st.kind == StmtKind::Case || st.kind == StmtKind::Default) ++ci;
+      ++numLabels;
     }
+    cases.push_back(ce);
   }
-  // Build the IR switch.
-  BasicBlock* defaultBB = exitBB;
-  for (const auto& ce : cases)
-    if (ce.isDefault) defaultBB = ce.block;
-  {
-    Instruction* sw = m_.createInstruction(Opcode::Switch, m_.types().voidTy());
-    sw->addOperand(v.v);
-    sw->addOperand(defaultBB);
-    for (const auto& ce : cases) {
-      if (ce.isDefault) continue;
-      sw->addOperand(m_.constant(v.v->type(), ce.value));
-      sw->addOperand(ce.block);
+  if (!defaultBB) defaultBB = exitBB;
+  // Dispatch (the thesis's "lowerswitch" step, §5.1): one compare per case
+  // label in source order, each failing over to the next compare's chain
+  // block; the last one falls to the default (or out of the switch).
+  if (numLabels == 0) b_.br(defaultBB);
+  size_t chain = 0;
+  for (const CaseEntry& ce : cases) {
+    if (!ce.value) continue;
+    Value* eq = b_.cmp(Opcode::CmpEQ, v.v, ce.value);
+    if (++chain == numLabels) {
+      b_.condBr(eq, ce.block, defaultBB);
+      break;
     }
-    b_.block()->append(sw);
+    BasicBlock* next =
+        curFn_->createBlockAfter(b_.block(), "sw.chain." + std::to_string(chain - 1));
+    b_.condBr(eq, ce.block, next);
+    b_.setInsertPoint(next);
   }
   // Second pass: lower the statements between labels; fallthrough chains to
   // the next case block.

@@ -155,9 +155,9 @@ private:
 
   void stmtSwitch(unsigned depth) {
     // Dense switch over a masked selector: every case value is reachable and
-    // every arm breaks, so control flow stays structural. lowerSwitch turns
-    // the case list into a compare/branch chain — the heaviest block
-    // insert/erase traffic a frontend construct can generate.
+    // every arm breaks, so control flow stays structural. The frontend
+    // lowers the case list to a compare/branch chain — the most blocks and
+    // edges a frontend construct can generate.
     const unsigned nCases = 2 + rng_.below(opts_.maxSwitchCases - 1);
     indent();
     out_ += "switch ((" + expr(1) + ") & 7) {\n";

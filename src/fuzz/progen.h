@@ -26,9 +26,9 @@ struct ProgenOptions {
   unsigned maxExprDepth = 4;
   unsigned maxLoopTrip = 8;     // constant trip count per counted loop
   /// Dense-`switch` emission: up to this many consecutive cases over a
-  /// masked selector (0 disables). lowerSwitch expands these into long
-  /// compare/branch chains, the densest block-surgery traffic the frontend
-  /// can produce.
+  /// masked selector (0 disables). The frontend lowers these to long
+  /// compare/branch chains, the densest block and edge traffic the
+  /// frontend can produce.
   unsigned maxSwitchCases = 6;
   /// Counted `while`/`do` loops alongside `for` (their exit tests sit at
   /// opposite ends, so both rotation shapes reach the loop passes).

@@ -3,7 +3,9 @@
 // A deliberately LLVM-2.9-shaped SSA instruction set covering exactly what
 // the thesis's tool flow needs, plus the four Twill runtime operations the
 // DSWP pass inserts (produce/consume on hardware queues, semaphore
-// raise/lower — §4.2/§4.3 of the thesis).
+// raise/lower — §4.2/§4.3 of the thesis). There is no switch: the frontend
+// emits a C `switch` as a compare/branch chain (the thesis's "lowerswitch"
+// step, §5.1), so a terminator has at most two successors.
 //
 // Instructions are arena-placed and chain into their block through intrusive
 // prev/next links: append/insert/detach/erase are O(1) pointer surgery, and
@@ -44,7 +46,6 @@ enum class Opcode : uint8_t {
   Phi,
   Br,       // (target)
   CondBr,   // (cond, then, else)
-  Switch,   // (value, default, case-val0, dest0, ...) ; lowered before DSWP
   Ret,      // () or (value)
   Call,     // (args...) ; callee in field
   // Twill runtime operations (inserted by the DSWP pass).

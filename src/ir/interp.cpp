@@ -137,19 +137,6 @@ StepResult RefExecState::step() {
       enterBlock(fr, fr.block, inst->successor(c ? 0 : 1));
       return trapped_ ? StepResult{StepStatus::Trapped, op, nullptr} : ranOk();
     }
-    case Opcode::Switch: {
-      uint32_t v = maskToBits(valueOf(inst->operand(0), fr), operandBits(inst->operand(0)));
-      BasicBlock* dest = inst->successor(0);  // default
-      for (unsigned i = 2; i + 1 < inst->numOperands(); i += 2) {
-        uint32_t cv = static_cast<uint32_t>(cast<Constant>(inst->operand(i))->zext());
-        if (cv == v) {
-          dest = static_cast<BasicBlock*>(inst->operand(i + 1));
-          break;
-        }
-      }
-      enterBlock(fr, fr.block, dest);
-      return trapped_ ? StepResult{StepStatus::Trapped, op, nullptr} : ranOk();
-    }
     case Opcode::Ret: {
       uint32_t rv = inst->numOperands() ? valueOf(inst->operand(0), fr) : 0;
       Instruction* callSite = fr.callSite;

@@ -92,7 +92,6 @@ const char* opcodeName(Opcode op) {
     case Opcode::Phi: return "phi";
     case Opcode::Br: return "br";
     case Opcode::CondBr: return "condbr";
-    case Opcode::Switch: return "switch";
     case Opcode::Ret: return "ret";
     case Opcode::Call: return "call";
     case Opcode::Produce: return "produce";
@@ -107,7 +106,7 @@ bool isBinaryOp(Opcode op) { return op >= Opcode::Add && op <= Opcode::AShr; }
 bool isCompareOp(Opcode op) { return op >= Opcode::CmpEQ && op <= Opcode::CmpUGE; }
 bool isCastOp(Opcode op) { return op == Opcode::ZExt || op == Opcode::SExt || op == Opcode::Trunc; }
 bool isTerminatorOp(Opcode op) {
-  return op == Opcode::Br || op == Opcode::CondBr || op == Opcode::Switch || op == Opcode::Ret;
+  return op == Opcode::Br || op == Opcode::CondBr || op == Opcode::Ret;
 }
 
 bool Instruction::hasSideEffects() const {
@@ -159,7 +158,6 @@ unsigned Instruction::numSuccessors() const {
   switch (op_) {
     case Opcode::Br: return 1;
     case Opcode::CondBr: return 2;
-    case Opcode::Switch: return (numOperands() - 1) / 2 + 1;
     default: return 0;
   }
 }
@@ -172,10 +170,6 @@ BasicBlock* Instruction::successor(unsigned i) const {
     case Opcode::CondBr:
       assert(i < 2);
       return static_cast<BasicBlock*>(operand(1 + i));
-    case Opcode::Switch:
-      // operands: (value, default, caseval0, dest0, caseval1, dest1, ...)
-      if (i == 0) return static_cast<BasicBlock*>(operand(1));
-      return static_cast<BasicBlock*>(operand(1 + 2 * i));
     default:
       assert(false && "not a branch");
       return nullptr;
@@ -189,9 +183,6 @@ void Instruction::setSuccessor(unsigned i, BasicBlock* bb) {
       return;
     case Opcode::CondBr:
       setOperand(1 + i, bb);
-      return;
-    case Opcode::Switch:
-      setOperand(i == 0 ? 1 : 1 + 2 * i, bb);
       return;
     default:
       assert(false && "not a branch");

@@ -33,7 +33,6 @@ unsigned swCycles(const Instruction& inst) {
     case Opcode::Br:
       return 2 + kFetch;
     case Opcode::CondBr:
-    case Opcode::Switch:
       return 3 + kFetch;  // taken-branch penalty on a simple pipeline
     case Opcode::Ret:
       return 3 + kFetch;

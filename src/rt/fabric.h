@@ -24,7 +24,6 @@ namespace twill {
 struct FabricConfig {
   unsigned queueCapacity = 8;  // §6: 8x32 queues by default
   unsigned queueLatency = RuntimeTiming::kQueueOp;  // produce -> visible delay
-  unsigned numProcessors = 1;
 };
 
 /// N-ports-per-cycle resource (dual-port BRAM in the pure-hardware flow).
@@ -114,8 +113,7 @@ private:
 /// segmented bookkeeping was measurable there.
 class HwQueue {
 public:
-  HwQueue(unsigned capacity, unsigned width)
-      : capacity_(capacity), width_(width), ring_(capacity + 1) {}
+  explicit HwQueue(unsigned capacity) : capacity_(capacity), ring_(capacity + 1) {}
 
   bool full() const { return size_ >= capacity_; }
   bool empty() const { return size_ == 0; }
@@ -142,8 +140,6 @@ public:
     return v;
   }
 
-  unsigned capacity() const { return capacity_; }
-  unsigned width() const { return width_; }
   uint64_t enqueues() const { return enqueues_; }
   uint64_t dequeues() const { return dequeues_; }
   size_t maxOccupancy() const { return maxOccupancy_; }
@@ -154,7 +150,6 @@ private:
     uint64_t visibleAt;
   };
   unsigned capacity_;
-  unsigned width_;
   std::vector<Elem> ring_;  // capacity_ + 1 slots; [head_, head_+size_)
   size_t head_ = 0;
   size_t tail_ = 0;
@@ -173,23 +168,15 @@ public:
   bool tryLower(uint32_t n) {
     if (count_ < n) return false;
     count_ -= n;
-    ++lowers_;
     return true;
   }
-  void raise(uint32_t n) {
-    count_ += n;
-    ++raises_;
-  }
-  uint64_t raises() const { return raises_; }
-  uint64_t lowers() const { return lowers_; }
+  void raise(uint32_t n) { count_ += n; }
 
   /// Threads blocked in a lower, for the event-driven scheduler.
   WaitList& lowerWaiters() { return lowerWaiters_; }
 
 private:
   uint64_t count_;
-  uint64_t raises_ = 0;
-  uint64_t lowers_ = 0;
   WaitList lowerWaiters_;
 };
 
@@ -198,9 +185,9 @@ class Fabric {
 public:
   explicit Fabric(const FabricConfig& cfg) : cfg_(cfg) {}
 
-  void addQueue(int id, unsigned width) {
+  void addQueue(int id) {
     if (static_cast<size_t>(id) >= queues_.size()) queues_.resize(id + 1);
-    queues_[id] = std::make_unique<HwQueue>(cfg_.queueCapacity, width);
+    queues_[id] = std::make_unique<HwQueue>(cfg_.queueCapacity);
   }
   void addSemaphore(int id, uint32_t initial) {
     if (static_cast<size_t>(id) >= sems_.size()) sems_.resize(id + 1);
@@ -216,9 +203,6 @@ public:
   BusModel& moduleBus() { return moduleBus_; }
   BusModel& memoryBus() { return memoryBus_; }
   const FabricConfig& config() const { return cfg_; }
-
-  size_t numQueues() const { return queues_.size(); }
-  size_t numSemaphores() const { return sems_.size(); }
 
 private:
   FabricConfig cfg_;

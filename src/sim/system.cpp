@@ -546,7 +546,7 @@ SimOutcome simulateTwill(Module& m, const DswpResult& dswp, const SimConfig& cfg
   fc.queueCapacity = cfg.queueCapacity;
   fc.queueLatency = cfg.queueLatency;
   Fabric fabric(fc);
-  for (const auto& ch : dswp.channels) fabric.addQueue(ch.id, ch.bits);
+  for (const auto& ch : dswp.channels) fabric.addQueue(ch.id);
   for (const auto& s : dswp.semaphores) fabric.addSemaphore(s.id, s.initialCount);
 
   // Threads: index 0 = main master (software); slaves per their domain.

@@ -1,7 +1,9 @@
 // Transform passes mirroring the thesis's pass pipeline (§5.1–§5.2):
-// Clang -O2 equivalents ("mem2reg", "mergereturn", "lowerswitch", "inline",
-// "simplifycfg", "adce"/dce, constant folding/propagation, "loop-simplify")
-// plus Twill's custom globals-to-arguments pass.
+// Clang -O2 equivalents ("mem2reg", "mergereturn", "inline", "simplifycfg",
+// "adce"/dce, constant folding/propagation, "loop-simplify") plus Twill's
+// custom globals-to-arguments pass. The pipeline's "lowerswitch" step has
+// no pass: the frontend (src/frontend/lower.cpp) emits every C `switch` as
+// a compare/branch chain, so the IR has no switch instruction.
 //
 // Every pass returns true if it changed the IR, so pipelines can iterate to
 // a fixpoint.
@@ -29,9 +31,6 @@ bool constantFold(Function& f, Module& m);
 /// Rewrites functions with multiple `ret`s to a single exit block
 /// ("mergereturn"); makes postdominator-based reasoning simpler.
 bool mergeReturns(Function& f, Module& m);
-
-/// Lowers `switch` to a chain of compare+condbr.
-bool lowerSwitch(Function& f, Module& m);
 
 /// Canonicalizes loops: every loop gets a preheader and dedicated exits.
 bool loopSimplify(Function& f, Module& m);

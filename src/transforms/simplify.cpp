@@ -1,5 +1,5 @@
-// CFG simplification, dead-code elimination, constant folding, merge-return,
-// lower-switch and loop-simplify.
+// CFG simplification, dead-code elimination, constant folding, merge-return
+// and loop-simplify.
 #include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
@@ -51,42 +51,20 @@ bool foldConstantBranches(Function& f, Module& m) {
   bool changed = false;
   for (auto& bb : f.blocks()) {
     Instruction* term = bb->terminator();
-    if (!term) continue;
-    if (term->op() == Opcode::CondBr) {
-      BasicBlock* t = term->successor(0);
-      BasicBlock* e = term->successor(1);
-      Constant* c = dyn_cast<Constant>(term->operand(0));
-      if (!c && t != e) continue;
-      BasicBlock* dest = c ? ((c->zext() & 1) ? t : e) : t;
-      BasicBlock* dropped = dest == t ? e : t;
-      IRBuilder b(m);
-      b.setInsertPoint(bb, bb->iteratorTo(term));
-      b.br(dest);
-      term->dropOperands();
-      if (dropped != dest) removePhiEntries(dropped, bb);
-      bb->erase(term);
-      changed = true;
-    } else if (term->op() == Opcode::Switch) {
-      Constant* c = dyn_cast<Constant>(term->operand(0));
-      if (!c) continue;
-      BasicBlock* dest = term->successor(0);
-      for (unsigned i = 2; i + 1 < term->numOperands(); i += 2) {
-        if (cast<Constant>(term->operand(i))->zext() == c->zext()) {
-          dest = static_cast<BasicBlock*>(term->operand(i + 1));
-          break;
-        }
-      }
-      std::vector<BasicBlock*> others;
-      for (unsigned i = 0; i < term->numSuccessors(); ++i)
-        if (term->successor(i) != dest) others.push_back(term->successor(i));
-      IRBuilder b(m);
-      b.setInsertPoint(bb, bb->iteratorTo(term));
-      b.br(dest);
-      term->dropOperands();
-      for (BasicBlock* o : others) removePhiEntries(o, bb);
-      bb->erase(term);
-      changed = true;
-    }
+    if (!term || term->op() != Opcode::CondBr) continue;
+    BasicBlock* t = term->successor(0);
+    BasicBlock* e = term->successor(1);
+    Constant* c = dyn_cast<Constant>(term->operand(0));
+    if (!c && t != e) continue;
+    BasicBlock* dest = c ? ((c->zext() & 1) ? t : e) : t;
+    BasicBlock* dropped = dest == t ? e : t;
+    IRBuilder b(m);
+    b.setInsertPoint(bb, bb->iteratorTo(term));
+    b.br(dest);
+    term->dropOperands();
+    if (dropped != dest) removePhiEntries(dropped, bb);
+    bb->erase(term);
+    changed = true;
   }
   return changed;
 }
@@ -364,62 +342,6 @@ bool mergeReturns(Function& f, Module& m) {
   return true;
 }
 
-bool lowerSwitch(Function& f, Module& m) {
-  bool changed = false;
-  std::vector<Instruction*> switches;
-  for (auto& bb : f.blocks())
-    if (bb->terminator() && bb->terminator()->op() == Opcode::Switch)
-      switches.push_back(bb->terminator());
-  for (Instruction* sw : switches) {
-    BasicBlock* bb = sw->parent();
-    Value* v = sw->operand(0);
-    BasicBlock* dflt = sw->successor(0);
-    struct Case {
-      Constant* val;
-      BasicBlock* dest;
-    };
-    std::vector<Case> cases;
-    for (unsigned i = 2; i + 1 < sw->numOperands(); i += 2)
-      cases.push_back({cast<Constant>(sw->operand(i)), static_cast<BasicBlock*>(sw->operand(i + 1))});
-    sw->dropOperands();
-    bb->erase(sw);
-
-    // Chain of compare+condbr blocks. PHIs in the case destinations must be
-    // retargeted to the block that actually branches to them.
-    BasicBlock* cur = bb;
-    for (size_t i = 0; i < cases.size(); ++i) {
-      IRBuilder b(m);
-      b.setInsertPoint(cur);
-      Instruction* cmp = b.cmp(Opcode::CmpEQ, v, cases[i].val);
-      BasicBlock* next =
-          (i + 1 < cases.size()) ? f.createBlockAfter(cur, "sw.chain." + std::to_string(i)) : nullptr;
-      BasicBlock* falseDest = next ? next : dflt;
-      b.setInsertPoint(cur);
-      b.condBr(cmp, cases[i].dest, falseDest);
-      for (auto& inst : *cases[i].dest) {
-        if (!inst->isPhi()) break;
-        int idx = inst->incomingIndexFor(bb);
-        if (idx >= 0 && cur != bb) inst->setIncomingBlock(static_cast<unsigned>(idx), cur);
-      }
-      if (!next) {
-        for (auto& inst : *dflt) {
-          if (!inst->isPhi()) break;
-          int idx = inst->incomingIndexFor(bb);
-          if (idx >= 0 && cur != bb) inst->setIncomingBlock(static_cast<unsigned>(idx), cur);
-        }
-      }
-      cur = next;
-    }
-    if (cases.empty()) {
-      IRBuilder b(m);
-      b.setInsertPoint(bb);
-      b.br(dflt);
-    }
-    changed = true;
-  }
-  return changed;
-}
-
 bool loopSimplify(Function& f, Module& m) {
   bool changed = false;
   DomTree dom;
@@ -473,10 +395,11 @@ bool loopSimplify(Function& f, Module& m) {
 }
 
 void runDefaultPipeline(Module& m, unsigned inlineThreshold, uint64_t maxIrInstructions) {
-  // §5.1 order: simplifycfg / mem2reg / mergereturn / lowerswitch / inline /
-  // simplifycfg / gvn-ish folding / adce / loop-simplify, then the custom
-  // globals pass and cleanups (§5.2). Under TWILL_VERIFY_IR every pass is
-  // followed by a full structural/SSA verification of what it touched.
+  // §5.1 order: simplifycfg / mem2reg / mergereturn / inline / simplifycfg /
+  // gvn-ish folding / adce / loop-simplify, then the custom globals pass and
+  // cleanups (§5.2); §5.1's lowerswitch already happened in the frontend.
+  // Under TWILL_VERIFY_IR every pass is followed by a full structural/SSA
+  // verification of what it touched.
   // Each pass runs under a TraceSpan so a `--trace` capture shows which pass
   // dominates a compile; the verification that follows a pass is charged to
   // the pipeline, not the pass (it is a debugging aid, not pipeline cost).
@@ -496,11 +419,6 @@ void runDefaultPipeline(Module& m, unsigned inlineThreshold, uint64_t maxIrInstr
       mergeReturns(*f, m);
     }
     verifyAfterPass(*f, "mergereturn");
-    {
-      TraceSpan t("lowerswitch");
-      lowerSwitch(*f, m);
-    }
-    verifyAfterPass(*f, "lowerswitch");
   }
   {
     TraceSpan t("inline");

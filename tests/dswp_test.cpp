@@ -253,7 +253,6 @@ TEST(DswpFunctionTest, NonInlinedCalleeGetsMasterSlaves) {
     simplifyCFG(*f);
     mem2reg(*f);
     mergeReturns(*f, *m);
-    lowerSwitch(*f, *m);
     loopSimplify(*f, *m);
   }
   Interp in(*m);
@@ -283,7 +282,6 @@ TEST(DswpFunctionTest, MultipleCallSitesGetSemaphore) {
     simplifyCFG(*f);
     mem2reg(*f);
     mergeReturns(*f, *m);
-    lowerSwitch(*f, *m);
   }
   Interp in(*m);
   uint32_t ref = in.run("main");

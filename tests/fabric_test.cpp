@@ -7,7 +7,7 @@ namespace twill {
 namespace {
 
 TEST(HwQueueTest, FifoOrderAndCapacity) {
-  HwQueue q(4, 32);
+  HwQueue q(4);
   EXPECT_TRUE(q.empty());
   for (uint32_t i = 0; i < 4; ++i) {
     EXPECT_FALSE(q.full());
@@ -22,7 +22,7 @@ TEST(HwQueueTest, FifoOrderAndCapacity) {
 }
 
 TEST(HwQueueTest, VisibilityLatency) {
-  HwQueue q(8, 32);
+  HwQueue q(8);
   q.push(99, /*visibleAt=*/10);
   EXPECT_FALSE(q.frontVisible(5));
   EXPECT_FALSE(q.frontVisible(9));
@@ -64,7 +64,7 @@ protected:
   FabricConfig cfg;
   void build() {
     fabric = std::make_unique<Fabric>(cfg);
-    fabric->addQueue(0, 32);
+    fabric->addQueue(0);
     fabric->addSemaphore(0, 1);
   }
   std::unique_ptr<Fabric> fabric;

@@ -325,6 +325,34 @@ TEST(FrontendTest, SwitchNoDefaultFallsOut) {
             5u);
 }
 
+TEST(FrontendTest, SwitchLowersToCompareChain) {
+  // The frontend performs the thesis's "lowerswitch" step: every case label
+  // becomes one CmpEQ that ends its block in a condbr, in source order, and
+  // no terminator has more than two successors.
+  Module m;
+  DiagEngine diag;
+  ASSERT_TRUE(compileC("int main() { int x = 3; int r; switch (x) {"
+                       "case 1: r = 10; break; case 3: r = 30; break; default: r = 99; }"
+                       "return r; }",
+                       m, diag))
+      << diag.str();
+  std::vector<uint64_t> labels;
+  for (auto& bb : m.findFunction("main")->blocks()) {
+    Instruction* term = bb->terminator();
+    ASSERT_NE(term, nullptr) << printModule(m);
+    EXPECT_LE(term->numSuccessors(), 2u) << printModule(m);
+    for (auto& inst : *bb) {
+      if (inst->op() != Opcode::CmpEQ) continue;
+      EXPECT_EQ(term->op(), Opcode::CondBr);
+      EXPECT_EQ(term->operand(0), inst);
+      labels.push_back(cast<Constant>(inst->operand(1))->zext());
+    }
+  }
+  EXPECT_EQ(labels, (std::vector<uint64_t>{1, 3})) << printModule(m);
+  Interp in(m);
+  EXPECT_EQ(in.run("main"), 30u);
+}
+
 // --- Declarations with defines, recursion guard, errors ------------------------------
 
 TEST(FrontendTest, DefinesInArraysAndLoops) {
@@ -332,6 +360,34 @@ TEST(FrontendTest, DefinesInArraysAndLoops) {
                  "int a[N];"
                  "int main() { for (int i = 0; i < N; i++) a[i] = i; return a[N-1]; }"),
             7u);
+}
+
+TEST(FrontendTest, ErrorDuplicateCaseValue) {
+  // C11 6.8.4.2p3: no two case constants of one switch may be equal after
+  // conversion to the promoted selector type; the error is at the label.
+  expectError("int main() { int x = 1; int r = 0; switch (x) {\n"
+              "case 1: r = 10; break;\n"
+              "case 1: r = 20; break; } return r; }",
+              "3:1: error: duplicate case value");
+  expectError("int main() { int x = -1; switch (x) {"
+              "case -1: return 1; case 0xFFFFFFFF: return 2; } return 0; }",
+              "duplicate case value");
+  // A label that does not fold is its own error, not a duplicate of another.
+  Module m;
+  DiagEngine diag;
+  EXPECT_FALSE(compileC("int main() { int x = 4; switch (x) {"
+                        "case 8 >> 1: return 1; case 6 & 3: return 2; case 0: return 3; }"
+                        "return 0; }",
+                        m, diag));
+  EXPECT_EQ(diag.errorCount(), 2u) << diag.str();
+  EXPECT_EQ(diag.str().find("duplicate"), std::string::npos) << diag.str();
+}
+
+TEST(FrontendTest, ErrorSecondDefaultLabel) {
+  expectError("int main() { int x = 5; int r = 0; switch (x) {\n"
+              "default: r = 30; break;\n"
+              "default: r = 40; } return r; }",
+              "3:1: error: multiple default labels in one switch");
 }
 
 TEST(FrontendTest, ErrorUndeclaredVariable) {

@@ -187,30 +187,6 @@ TEST_F(InterpFixture, SelectAndCompare) {
   EXPECT_EQ(in2.run(f, {static_cast<uint32_t>(-3), 2}), 2u);
 }
 
-TEST_F(InterpFixture, SwitchDispatch) {
-  Function* f = m.createFunction("sw", m.types().i32());
-  Argument* a = f->addArg(m.types().i32(), "a");
-  BasicBlock* e = f->createBlock("entry");
-  BasicBlock* d = f->createBlock("default");
-  BasicBlock* c1 = f->createBlock("one");
-  BasicBlock* c2 = f->createBlock("two");
-  b.setInsertPoint(e);
-  b.create(Opcode::Switch, m.types().voidTy(), {a, d, m.i32Const(1), c1, m.i32Const(2), c2});
-  b.setInsertPoint(d);
-  b.ret(m.i32Const(100));
-  b.setInsertPoint(c1);
-  b.ret(m.i32Const(111));
-  b.setInsertPoint(c2);
-  b.ret(m.i32Const(222));
-  verifyClean();
-  Interp in(m);
-  EXPECT_EQ(in.run(f, {1}), 111u);
-  Interp in2(m);
-  EXPECT_EQ(in2.run(f, {2}), 222u);
-  Interp in3(m);
-  EXPECT_EQ(in3.run(f, {9}), 100u);
-}
-
 TEST_F(InterpFixture, MemoryLayoutSeparatesGlobals) {
   GlobalVar* g1 = m.createGlobal("a", 32, 4, false);
   GlobalVar* g2 = m.createGlobal("b", 8, 5, false);

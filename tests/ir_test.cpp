@@ -421,25 +421,6 @@ TEST_F(IRFixture, PhiIncomingManagement) {
   b.ret(m.i32Const(0));
 }
 
-TEST_F(IRFixture, SwitchSuccessors) {
-  Function* f = m.createFunction("sw", m.types().voidTy());
-  BasicBlock* e = f->createBlock("entry");
-  BasicBlock* d = f->createBlock("default");
-  BasicBlock* c1 = f->createBlock("case1");
-  BasicBlock* c2 = f->createBlock("case2");
-  b.setInsertPoint(e);
-  Instruction* sw = b.create(Opcode::Switch, m.types().voidTy(),
-                             {m.i32Const(5), d, m.i32Const(1), c1, m.i32Const(2), c2});
-  EXPECT_EQ(sw->numSuccessors(), 3u);
-  EXPECT_EQ(sw->successor(0), d);
-  EXPECT_EQ(sw->successor(1), c1);
-  EXPECT_EQ(sw->successor(2), c2);
-  for (BasicBlock* t : {d, c1, c2}) {
-    b.setInsertPoint(t);
-    b.retVoid();
-  }
-}
-
 TEST(ModuleTest, FindAndEraseFunction) {
   Module m;
   Function* f = m.createFunction("f", m.types().voidTy());

@@ -107,6 +107,29 @@ TEST(Mem2RegTest, NestedLoopsPreserveSemantics) {
   EXPECT_EQ(rerun(*c.m), c.reference);
 }
 
+TEST(Mem2RegTest, SwitchChainPhiEdges) {
+  // The frontend's compare chain makes its chain blocks real predecessors:
+  // the label reached by both dispatch and fallthrough, and the exit of a
+  // switch without a default, need phi incomings from the chain block
+  // whose compare branches there.
+  auto c = compileAndRun(
+      "int main() { int s = 0; for (int i = 0; i < 6; i++) {"
+      "  switch (i & 3) { case 0: s += 1; case 1: s += 10; break;"
+      "  case 2: s += 100; } }"
+      "return s; }");
+  EXPECT_EQ(c.reference, 142u);
+  Function* f = c.m->findFunction("main");
+  EXPECT_TRUE(mem2reg(*f));
+  expectVerified(*c.m);
+  unsigned chainIncomings = 0;
+  for (auto& bb : f->blocks())
+    for (auto& inst : *bb)
+      for (unsigned i = 0; inst->isPhi() && i < inst->numIncoming(); ++i)
+        if (inst->incomingBlock(i)->name().rfind("sw.chain.", 0) == 0) ++chainIncomings;
+  EXPECT_EQ(chainIncomings, 2u) << printModule(*c.m);
+  EXPECT_EQ(rerun(*c.m), c.reference);
+}
+
 // --- simplifycfg ------------------------------------------------------------
 
 TEST(SimplifyCFGTest, RemovesUnreachableAndMergesChains) {
@@ -208,7 +231,7 @@ TEST(DCETest, RemovesDeadCode) {
   EXPECT_EQ(rerun(*c.m), 2u);
 }
 
-// --- mergeReturns / lowerSwitch --------------------------------------------------
+// --- mergeReturns ---------------------------------------------------------------
 
 TEST(MergeReturnsTest, SingleExitAfterwards) {
   auto c = compileAndRun(
@@ -219,32 +242,6 @@ TEST(MergeReturnsTest, SingleExitAfterwards) {
   size_t rets = countOps(*f, Opcode::Ret);
   EXPECT_EQ(rets, 1u);
   EXPECT_EQ(rerun(*c.m), 1u);
-}
-
-TEST(LowerSwitchTest, SwitchBecomesCompareChain) {
-  auto c = compileAndRun(
-      "int main() { int x = 3; int r; switch (x) {"
-      "case 1: r = 10; break; case 3: r = 30; break; default: r = 99; }"
-      "return r; }");
-  Function* f = c.m->findFunction("main");
-  lowerSwitch(*f, *c.m);
-  expectVerified(*c.m);
-  EXPECT_EQ(countOps(*f, Opcode::Switch), 0u);
-  EXPECT_GT(countOps(*f, Opcode::CondBr), 0u);
-  EXPECT_EQ(rerun(*c.m), 30u);
-}
-
-TEST(LowerSwitchTest, PreservesPhiEdges) {
-  auto c = compileAndRun(
-      "int main() { int s = 0; for (int i = 0; i < 6; i++) {"
-      "  switch (i & 3) { case 0: s += 1; break; case 1: s += 10; break;"
-      "  case 2: s += 100; break; default: s += 1000; } }"
-      "return s; }");
-  Function* f = c.m->findFunction("main");
-  mem2reg(*f);
-  lowerSwitch(*f, *c.m);
-  expectVerified(*c.m);
-  EXPECT_EQ(rerun(*c.m), c.reference);
 }
 
 // --- loopSimplify ---------------------------------------------------------------

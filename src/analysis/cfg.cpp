@@ -1,45 +1,8 @@
 #include "src/analysis/cfg.h"
 
-#include <algorithm>
-#include <unordered_set>
-
 #include "src/ir/builder.h"
 
 namespace twill {
-
-std::vector<BasicBlock*> postOrder(Function& f) {
-  std::vector<BasicBlock*> post;
-  if (!f.entry()) return post;
-  std::unordered_set<BasicBlock*> seen;
-  // Successor lists live in the stack frame: successors() materializes a
-  // vector, so calling it once per visit step (not once per frame) was the
-  // dominant cost of every CFG walk built on this.
-  struct Frame {
-    BasicBlock* bb;
-    std::vector<BasicBlock*> succs;
-    size_t i = 0;
-  };
-  std::vector<Frame> stack;
-  stack.push_back({f.entry(), f.entry()->successors(), 0});
-  seen.insert(f.entry());
-  while (!stack.empty()) {
-    Frame& fr = stack.back();
-    if (fr.i < fr.succs.size()) {
-      BasicBlock* s = fr.succs[fr.i++];
-      if (seen.insert(s).second) stack.push_back({s, s->successors(), 0});
-    } else {
-      post.push_back(fr.bb);
-      stack.pop_back();
-    }
-  }
-  return post;
-}
-
-std::vector<BasicBlock*> reversePostOrder(Function& f) {
-  std::vector<BasicBlock*> rpo = postOrder(f);
-  std::reverse(rpo.begin(), rpo.end());
-  return rpo;
-}
 
 std::vector<BasicBlock*> exitBlocks(Function& f) {
   std::vector<BasicBlock*> exits;

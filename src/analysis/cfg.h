@@ -1,4 +1,4 @@
-// CFG traversal utilities shared by the analyses.
+// CFG utilities shared by the analyses and the transforms.
 #pragma once
 
 #include <vector>
@@ -6,13 +6,6 @@
 #include "src/ir/function.h"
 
 namespace twill {
-
-/// Reverse postorder over the forward CFG from the entry block. Unreachable
-/// blocks are omitted.
-std::vector<BasicBlock*> reversePostOrder(Function& f);
-
-/// Postorder over the forward CFG from the entry block.
-std::vector<BasicBlock*> postOrder(Function& f);
 
 /// Blocks whose terminator is a `ret`.
 std::vector<BasicBlock*> exitBlocks(Function& f);

@@ -2,15 +2,20 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_set>
 
 #include "src/analysis/cfg.h"
 
 namespace twill {
+namespace {
 
-std::vector<BasicBlock*> DomTree::preds(BasicBlock* bb) const {
-  return post_ ? bb->successors() : bb->predecessors();
+[[maybe_unused]] bool consecutiveIds(const Function& f) {
+  unsigned id = f.entry()->id();
+  for (const BasicBlock* bb : f.blocks())
+    if (bb->id() != id++) return false;
+  return true;
 }
+
+}  // namespace
 
 std::vector<BasicBlock*> DomTree::succs(BasicBlock* bb) const {
   return post_ ? bb->predecessors() : bb->successors();
@@ -18,92 +23,85 @@ std::vector<BasicBlock*> DomTree::succs(BasicBlock* bb) const {
 
 void DomTree::build(Function& f, bool postDom) {
   post_ = postDom;
-  fn_ = &f;
   order_.clear();
-  number_.clear();
-  idomIdx_.clear();
   frontiers_.clear();
   frontiersBuilt_ = false;
+  const size_t n = f.numBlocks();
+  orderOf_.assign(n, -1);
+  if (n == 0) return;
+  assert(consecutiveIds(f) && "DomTree::build needs consecutive block ids in block order");
+  base_ = f.entry()->id();
 
   // Direction-RPO: for the forward tree this is plain RPO from entry; for
-  // the postdom tree it is RPO of the reverse CFG from the exit blocks.
-  if (!post_) {
-    order_ = reversePostOrder(f);
-  } else {
-    std::vector<BasicBlock*> postOrderRev;
-    std::unordered_set<BasicBlock*> seen;
-    // Predecessor lists live in the stack frame — materializing them once
-    // per visit step instead of once per frame dominated this walk.
-    struct Frame {
-      BasicBlock* bb;
-      std::vector<BasicBlock*> preds;
-      size_t i = 0;
-    };
-    std::vector<Frame> stack;
-    for (BasicBlock* e : exitBlocks(f)) {
-      if (!seen.insert(e).second) continue;
-      stack.push_back({e, e->predecessors(), 0});
-      while (!stack.empty()) {
-        Frame& fr = stack.back();
-        if (fr.i < fr.preds.size()) {
-          BasicBlock* s = fr.preds[fr.i++];
-          if (seen.insert(s).second) stack.push_back({s, s->predecessors(), 0});
-        } else {
-          postOrderRev.push_back(fr.bb);
-          stack.pop_back();
-        }
+  // the postdom tree it is RPO of the reverse CFG from the exit blocks (one
+  // DFS from the virtual root, visiting the exits in block order).
+  // Successor lists live in the stack frame — materializing them once per
+  // visit step instead of once per frame dominated this walk.
+  constexpr int kSeen = -2;
+  struct Frame {
+    BasicBlock* bb;
+    std::vector<BasicBlock*> succs;
+    size_t i = 0;
+  };
+  std::vector<Frame> stack;
+  const std::vector<BasicBlock*> roots =
+      post_ ? exitBlocks(f) : std::vector<BasicBlock*>{f.entry()};
+  for (BasicBlock* root : roots) {
+    if (orderOf_[root->id() - base_] == kSeen) continue;
+    orderOf_[root->id() - base_] = kSeen;
+    stack.push_back({root, succs(root), 0});
+    while (!stack.empty()) {
+      Frame& fr = stack.back();
+      if (fr.i < fr.succs.size()) {
+        BasicBlock* s = fr.succs[fr.i++];
+        int& mark = orderOf_[s->id() - base_];
+        if (mark == kSeen) continue;
+        mark = kSeen;
+        stack.push_back({s, succs(s), 0});
+      } else {
+        order_.push_back(fr.bb);
+        stack.pop_back();
       }
     }
-    order_.assign(postOrderRev.rbegin(), postOrderRev.rend());
   }
-  for (size_t i = 0; i < order_.size(); ++i) number_[order_[i]] = static_cast<int>(i);
-
-  if (order_.empty()) return;
-
-  // Roots: entry (forward) / every exit block (postdom; idom = virtual root).
-  idomIdx_.assign(order_.size(), kUnsetIdom);
-  std::vector<uint8_t> isRoot(order_.size(), 0);
-  if (!post_) {
-    int e = number_.at(f.entry());
-    isRoot[e] = 1;
-    idomIdx_[e] = -1;
-  } else {
-    for (BasicBlock* e : exitBlocks(f)) {
-      auto it = number_.find(e);
-      if (it == number_.end()) continue;
-      isRoot[it->second] = 1;
-      idomIdx_[it->second] = -1;
-    }
-  }
+  std::reverse(order_.begin(), order_.end());
+  const size_t r = order_.size();
+  for (size_t i = 0; i < r; ++i) orderOf_[order_[i]->id() - base_] = static_cast<int>(i);
 
   // Direction-predecessors as order indices, resolved once: the fixpoint
-  // below revisits them every round, and hashing a pointer per edge per
-  // round was the dominant cost of building the tree.
-  std::vector<std::vector<int>> predIdx(order_.size());
-  for (size_t i = 0; i < order_.size(); ++i) {
-    for (BasicBlock* p : preds(order_[i])) {
-      auto it = number_.find(p);
-      if (it != number_.end()) predIdx[i].push_back(it->second);
-    }
+  // below revisits them every round.
+  predBegin_.assign(r + 1, 0);
+  predList_.clear();
+  for (size_t i = 0; i < r; ++i) {
+    predBegin_[i] = static_cast<unsigned>(predList_.size());
+    for (BasicBlock* p : post_ ? order_[i]->successors() : order_[i]->predecessors())
+      if (const int j = index(p); j >= 0) predList_.push_back(static_cast<unsigned>(j));
   }
+  predBegin_[r] = static_cast<unsigned>(predList_.size());
+
+  // Roots: entry (forward) / every exit block (postdom; idom = virtual root).
+  // The forward root is order_[0]; a postdom root has no successors, so no
+  // predecessor in its direction, and the sweep below leaves it alone.
+  constexpr int kUnsetIdom = -2;  // not processed yet
+  idomIdx_.assign(r, kUnsetIdom);
+  for (BasicBlock* root : roots) idomIdx_[index(root)] = -1;
 
   bool changed = true;
   while (changed) {
     changed = false;
-    for (size_t i = 0; i < order_.size(); ++i) {
-      if (isRoot[i]) continue;
+    for (size_t i = 1; i < r; ++i) {
       int newIdom = kUnsetIdom;
       bool found = false;  // at least one processed predecessor contributed
-      for (int p : predIdx[i]) {
-        if (idomIdx_[p] == kUnsetIdom && !isRoot[p]) continue;  // not processed yet
+      for (unsigned p : preds(static_cast<unsigned>(i))) {
+        if (idomIdx_[p] == kUnsetIdom) continue;  // not processed yet
         if (!found) {
-          newIdom = p;
+          newIdom = static_cast<int>(p);
           found = true;
         } else if (newIdom != -1) {
           // In the postdominator direction two ancestors can meet only at
           // the virtual root; `intersectIdx` then yields -1, which is a
           // valid idom (the virtual root).
-          newIdom = intersectIdx(p, newIdom);
+          newIdom = intersectIdx(static_cast<int>(p), newIdom);
         }
       }
       if (!found) continue;
@@ -112,6 +110,30 @@ void DomTree::build(Function& f, bool postDom) {
         changed = true;
       }
     }
+  }
+
+  // Children in order(), then preorder intervals: an idom precedes its
+  // children in order(), so subtree sizes accumulate in reverse and each
+  // child takes the next free run inside its parent's interval (each root
+  // the next free run overall).
+  childBegin_.assign(r + 1, 0);
+  for (size_t i = 0; i < r; ++i)
+    if (idomIdx_[i] >= 0) ++childBegin_[idomIdx_[i] + 1];
+  for (size_t i = 0; i < r; ++i) childBegin_[i + 1] += childBegin_[i];
+  childList_.resize(childBegin_[r]);
+  std::vector<unsigned> next(childBegin_.begin(), childBegin_.end() - 1);
+  for (size_t i = 0; i < r; ++i)
+    if (idomIdx_[i] >= 0) childList_[next[idomIdx_[i]]++] = order_[i];
+  size_.assign(r, 1);
+  for (size_t i = r; i-- > 0;)
+    if (idomIdx_[i] >= 0) size_[idomIdx_[i]] += size_[i];
+  pre_.assign(r, 0);
+  unsigned nextRoot = 0;
+  for (size_t i = 0; i < r; ++i) {
+    unsigned& slot = idomIdx_[i] >= 0 ? next[idomIdx_[i]] : nextRoot;
+    pre_[i] = slot;
+    slot += size_[i];
+    next[i] = pre_[i] + 1;
   }
 }
 
@@ -128,51 +150,40 @@ int DomTree::intersectIdx(int a, int b) const {
   return a;
 }
 
-BasicBlock* DomTree::idom(BasicBlock* bb) const {
-  auto it = number_.find(bb);
-  if (it == number_.end()) return nullptr;
-  int idx = idomIdx_[it->second];
-  return idx < 0 ? nullptr : order_[idx];
+BasicBlock* DomTree::idom(const BasicBlock* bb) const {
+  const int i = index(bb);
+  if (i < 0) return nullptr;
+  const int d = idomIdx_[i];
+  return d < 0 ? nullptr : order_[d];
 }
 
-bool DomTree::dominates(BasicBlock* a, BasicBlock* b) const {
-  auto ia = number_.find(a);
-  auto ib = number_.find(b);
-  if (ia == number_.end() || ib == number_.end()) return false;
-  int x = ib->second;
-  while (x >= 0) {
-    if (x == ia->second) return true;
-    x = idomIdx_[x];
-  }
-  return false;
+Span<BasicBlock* const> DomTree::children(const BasicBlock* bb) const {
+  const int i = index(bb);
+  if (i < 0) return {};
+  return {childList_.data() + childBegin_[i], childBegin_[i + 1] - childBegin_[i]};
 }
 
 void DomTree::buildFrontiers() {
   frontiersBuilt_ = true;
-  for (BasicBlock* bb : order_) frontiers_[bb];  // materialize empty sets
+  frontiers_.assign(order_.size(), {});
   for (size_t i = 0; i < order_.size(); ++i) {
-    BasicBlock* bb = order_[i];
-    auto ps = preds(bb);
+    const Span<const unsigned> ps = preds(static_cast<unsigned>(i));
     if (ps.size() < 2) continue;
-    const int stop = idomIdx_[i];
-    for (BasicBlock* p : ps) {
-      auto it = number_.find(p);
-      if (it == number_.end()) continue;
-      int runner = it->second;
-      while (runner >= 0 && runner != stop) {
-        auto& fr = frontiers_[order_[runner]];
-        if (std::find(fr.begin(), fr.end(), bb) == fr.end()) fr.push_back(bb);
-        runner = idomIdx_[runner];
+    for (unsigned p : ps) {
+      for (int runner = static_cast<int>(p); runner >= 0 && runner != idomIdx_[i];
+           runner = idomIdx_[runner]) {
+        auto& fr = frontiers_[runner];
+        if (std::find(fr.begin(), fr.end(), order_[i]) == fr.end()) fr.push_back(order_[i]);
       }
     }
   }
 }
 
-const std::vector<BasicBlock*>& DomTree::frontier(BasicBlock* bb) {
+const std::vector<BasicBlock*>& DomTree::frontier(const BasicBlock* bb) {
   if (!frontiersBuilt_) buildFrontiers();
   static const std::vector<BasicBlock*> kEmpty;
-  auto it = frontiers_.find(bb);
-  return it == frontiers_.end() ? kEmpty : it->second;
+  const int i = index(bb);
+  return i < 0 ? kEmpty : frontiers_[i];
 }
 
 }  // namespace twill

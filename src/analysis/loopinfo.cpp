@@ -2,28 +2,13 @@
 
 #include <algorithm>
 
-#include "src/analysis/cfg.h"
-
 namespace twill {
-
-bool Loop::contains(const Loop* other) const {
-  for (const Loop* l = other; l; l = l->parent)
-    if (l == this) return true;
-  return false;
-}
 
 std::vector<BasicBlock*> Loop::exitBlocks() const {
   std::vector<BasicBlock*> out;
   for (BasicBlock* bb : blocks)
     for (BasicBlock* s : bb->successors())
       if (!contains(s) && std::find(out.begin(), out.end(), s) == out.end()) out.push_back(s);
-  return out;
-}
-
-std::vector<BasicBlock*> Loop::latches() const {
-  std::vector<BasicBlock*> out;
-  for (BasicBlock* p : header->predecessors())
-    if (contains(p)) out.push_back(p);
   return out;
 }
 
@@ -36,62 +21,90 @@ std::vector<BasicBlock*> Loop::entryPreds() const {
 
 void LoopInfo::build(Function& f, const DomTree& dom) {
   loops_.clear();
-  innermost_.clear();
+  blocks_.clear();
+  for (BasicBlock* bb : f.blocks()) blocks_.push_back(bb);
+  base_ = blocks_.empty() ? 0 : blocks_[0]->id();
+  innermost_.assign(blocks_.size(), nullptr);
 
   // Find back edges (tail -> header where header dominates tail), grouping
   // multiple back edges to the same header into one loop.
-  std::unordered_map<BasicBlock*, Loop*> headerLoop;
-  std::vector<BasicBlock*> rpo = reversePostOrder(f);
-  for (BasicBlock* bb : rpo) {
+  std::vector<Loop*> headed(blocks_.size(), nullptr);  // header index -> loop
+  for (BasicBlock* bb : dom.order()) {
     for (BasicBlock* s : bb->successors()) {
-      if (!dom.dominates(s, bb)) continue;
-      Loop*& loop = headerLoop[s];
-      if (!loop) {
-        loops_.emplace_back(new Loop);
-        loop = loops_.back().get();
-        loop->header = s;
-        loop->blocks.insert(s);
-      }
-      // Walk predecessors backward from the latch to collect the body.
-      std::vector<BasicBlock*> work{bb};
-      while (!work.empty()) {
-        BasicBlock* w = work.back();
-        work.pop_back();
-        if (!loop->blocks.insert(w).second) continue;
-        for (BasicBlock* p : w->predecessors())
-          if (dom.isReachable(p)) work.push_back(p);
-      }
+      Loop*& loop = headed[s->id() - base_];
+      if (loop || !dom.dominates(s, bb)) continue;
+      loops_.emplace_back(new Loop);
+      loop = loops_.back().get();
+      loop->header = s;
+      loop->index = static_cast<unsigned>(loops_.size() - 1);
+      loop->info_ = this;
     }
   }
 
-  // Nest loops: parent = smallest strictly-containing loop.
-  std::vector<Loop*> all;
-  for (auto& l : loops_) all.push_back(l.get());
-  std::sort(all.begin(), all.end(),
-            [](Loop* a, Loop* b) { return a->blocks.size() < b->blocks.size(); });
-  for (size_t i = 0; i < all.size(); ++i) {
-    for (size_t j = i + 1; j < all.size(); ++j) {
-      if (all[j]->blocks.count(all[i]->header) && all[j] != all[i]) {
-        all[i]->parent = all[j];
-        all[j]->subloops.push_back(all[i]);
-        break;
+  // Body: the header plus every block that reaches a latch without passing
+  // the header, walking predecessors backward.
+  std::vector<const Loop*> claimed(blocks_.size(), nullptr);  // last walk to visit
+  std::vector<unsigned> body;
+  std::vector<BasicBlock*> work;
+  for (auto& l : loops_) {
+    for (BasicBlock* p : l->header->predecessors())
+      if (dom.dominates(l->header, p)) l->latches.push_back(p);
+    claimed[l->header->id() - base_] = l.get();
+    body.assign(1, l->header->id() - base_);
+    work = l->latches;
+    while (!work.empty()) {
+      BasicBlock* w = work.back();
+      work.pop_back();
+      const unsigned b = w->id() - base_;
+      if (claimed[b] == l.get()) continue;
+      claimed[b] = l.get();
+      body.push_back(b);
+      for (BasicBlock* p : w->predecessors())
+        if (dom.isReachable(p)) work.push_back(p);
+    }
+    std::sort(body.begin(), body.end());
+    for (unsigned b : body) l->blocks.push_back(blocks_[b]);
+  }
+
+  // Nest loops: parent = smallest strictly-containing loop. Visiting loops
+  // from small to large, the first loop to reach a block is its innermost,
+  // and a later loop holding the block adopts the outermost loop around it
+  // so far.
+  std::vector<Loop*> bySize;
+  for (auto& l : loops_) bySize.push_back(l.get());
+  std::stable_sort(bySize.begin(), bySize.end(),
+                   [](Loop* a, Loop* b) { return a->blocks.size() < b->blocks.size(); });
+  for (Loop* l : bySize) {
+    for (BasicBlock* bb : l->blocks) {
+      Loop*& in = innermost_[bb->id() - base_];
+      if (!in) {
+        in = l;
+        continue;
       }
+      Loop* top = in;
+      while (top->parent) top = top->parent;
+      if (top != l) top->parent = l;
     }
   }
-  for (Loop* l : all) {
-    unsigned d = 1;
-    for (Loop* p = l->parent; p; p = p->parent) ++d;
-    l->depth = d;
-  }
-  // Innermost map: iterate small-to-large so the first writer wins.
-  for (Loop* l : all)
-    for (BasicBlock* bb : l->blocks)
-      innermost_.emplace(bb, l);
-}
+  for (auto& l : loops_)
+    if (l->parent) l->parent->subloops.push_back(l.get());
 
-Loop* LoopInfo::loopFor(BasicBlock* bb) const {
-  auto it = innermost_.find(bb);
-  return it == innermost_.end() ? nullptr : it->second;
+  // Preorder intervals of the loop tree: subtree sizes accumulate from small
+  // to large (children first), then from large to small each loop takes the
+  // next free run inside its parent's interval (each outermost loop the next
+  // free run overall).
+  for (Loop* l : bySize)
+    if (l->parent) l->parent->treeSize_ += l->treeSize_;
+  std::vector<unsigned> next(loops_.size());
+  unsigned nextRoot = 0;
+  for (auto it = bySize.rbegin(); it != bySize.rend(); ++it) {
+    Loop* l = *it;
+    unsigned& slot = l->parent ? next[l->parent->index] : nextRoot;
+    l->pre_ = slot;
+    slot += l->treeSize_;
+    next[l->index] = l->pre_ + 1;
+    l->depth = l->parent ? l->parent->depth + 1 : 1;
+  }
 }
 
 std::vector<Loop*> LoopInfo::topLevelLoops() const {

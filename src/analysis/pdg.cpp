@@ -106,71 +106,29 @@ void PDG::buildMemoryDeps(Function& f, AliasAnalysis& aa) {
     bool writes;
     Value* ptr;  // nullptr = unknown everything (calls)
     const AliasAnalysis::BaseSet* bases = nullptr;  // resolved once, not per pair
+    const Loop* outer = nullptr;  // outermost loop around the op, if any
   };
   std::vector<MemOp> ops;
   for (auto& bb : f.blocks()) {
     for (auto& inst : *bb) {
       switch (inst->op()) {
-        case Opcode::Load: ops.push_back({inst, true, false, inst->operand(0), nullptr}); break;
-        case Opcode::Store: ops.push_back({inst, false, true, inst->operand(1), nullptr}); break;
-        case Opcode::Call: ops.push_back({inst, true, true, nullptr, nullptr}); break;
+        case Opcode::Load: ops.push_back({inst, true, false, inst->operand(0)}); break;
+        case Opcode::Store: ops.push_back({inst, false, true, inst->operand(1)}); break;
+        case Opcode::Call: ops.push_back({inst, true, true, nullptr}); break;
         default: break;
       }
     }
   }
-  for (MemOp& op : ops)
+  for (MemOp& op : ops) {
     if (op.ptr) op.bases = &aa.basesOf(op.ptr);
+    // Two blocks share a loop exactly when their outermost loops are the
+    // same: the loops around a block form one chain up to its outermost.
+    for (const Loop* l = loops_.loopFor(op.inst->parent()); l; l = l->parent) op.outer = l;
+  }
 
-  auto commonLoop = [&](BasicBlock* a, BasicBlock* b) -> bool {
-    for (Loop* l = loops_.loopFor(a); l; l = l->parent)
-      if (l->contains(b)) return true;
-    return false;
-  };
   // build() renumbered the function before collecting ops, so ids are in
   // program order and same-block precedence is an id comparison.
   auto precedesInBlock = [](Instruction* a, Instruction* b) { return a->id() < b->id(); };
-
-  // The pair sweep below only depends on the *blocks* through loop
-  // membership, reachability and dominance — all walks over hash maps.
-  // Memoize them per ordered block pair, over a dense renaming of just the
-  // blocks that hold memory ops (m ops cluster in few blocks, so this turns
-  // O(pairs) chain walks into O(distinct block pairs)).
-  std::unordered_map<BasicBlock*, unsigned> blockIdx;
-  for (MemOp& op : ops) {
-    auto [it, fresh] = blockIdx.emplace(op.inst->parent(), blockIdx.size());
-    (void)fresh;
-  }
-  const size_t nb = blockIdx.size();
-  // Bits: 1 = loopTogether, 2 = ba dominates bb, 4 = bb dominates ba
-  // (dominance taken as false when either block is unreachable, matching
-  // DomTree::dominates). 0xFF = not computed yet. The flat table is nb^2
-  // bytes, so a hostile input spreading memory ops over thousands of blocks
-  // falls back to a sparse map instead of an O(blocks^2) allocation.
-  constexpr size_t kFlatRelLimit = 2048;
-  std::vector<uint8_t> rel;
-  std::unordered_map<uint64_t, uint8_t> relSparse;
-  if (nb <= kFlatRelLimit) rel.assign(nb * nb, 0xFF);
-  auto computeRel = [&](BasicBlock* ba, BasicBlock* bb) -> uint8_t {
-    uint8_t r = 0;
-    if (commonLoop(ba, bb)) r |= 1;
-    if (dom_.isReachable(ba) && dom_.isReachable(bb)) {
-      if (dom_.dominates(ba, bb)) r |= 2;
-      if (dom_.dominates(bb, ba)) r |= 4;
-    }
-    return r;
-  };
-  auto relOf = [&](BasicBlock* ba, unsigned ia, BasicBlock* bb, unsigned ib) -> uint8_t {
-    if (!rel.empty()) {
-      uint8_t& slot = rel[ia * nb + ib];
-      if (slot == 0xFF) slot = computeRel(ba, bb);
-      return slot;
-    }
-    auto [it, fresh] = relSparse.emplace((static_cast<uint64_t>(ia) << 32) | ib, 0);
-    if (fresh) it->second = computeRel(ba, bb);
-    return it->second;
-  };
-  std::vector<unsigned> opBlock(ops.size());
-  for (size_t i = 0; i < ops.size(); ++i) opBlock[i] = blockIdx[ops[i].inst->parent()];
 
   auto conflict = [&](size_t i, size_t j) {
     const MemOp& a = ops[i];
@@ -179,17 +137,16 @@ void PDG::buildMemoryDeps(Function& f, AliasAnalysis& aa) {
 
     BasicBlock* ba = a.inst->parent();
     BasicBlock* bb = b.inst->parent();
-    const uint8_t r = relOf(ba, opBlock[i], bb, opBlock[j]);
-    const bool loopTogether = (r & 1) != 0;
+    const bool loopTogether = a.outer && a.outer == b.outer;
     if (ba == bb) {
       Instruction* first = precedesInBlock(a.inst, b.inst) ? a.inst : b.inst;
       Instruction* second = first == a.inst ? b.inst : a.inst;
       addEdge(first, second, DepKind::Memory);
       // Loop-carried reverse dependence fuses the pair into one SCC.
       if (loopTogether) addEdge(second, first, DepKind::Memory);
-    } else if ((r & 2) && !loopTogether) {
+    } else if (!loopTogether && dom_.dominates(ba, bb)) {
       addEdge(a.inst, b.inst, DepKind::Memory);
-    } else if ((r & 4) && !loopTogether) {
+    } else if (!loopTogether && dom_.dominates(bb, ba)) {
       addEdge(b.inst, a.inst, DepKind::Memory);
     } else {
       // Incomparable or loop-interleaved: order is dynamic; fuse.

@@ -13,6 +13,11 @@
 // The extra PHI-constant edges of thesis §5.2.1 are not needed here because
 // the DSWP extractor replicates control flow into each partition (see
 // DESIGN.md, "Control replication").
+//
+// Memory pairs are classified straight from the dense dominator tree (two
+// comparisons per query) and each op's outermost loop (two ops share a loop
+// exactly when their outermost loops are the same), so no per-pair or
+// per-block-pair table is kept.
 #pragma once
 
 #include <unordered_map>
@@ -34,7 +39,9 @@ struct PDGEdge {
 
 class PDG {
 public:
-  /// Builds the PDG. Renumbers the function so instruction ids are dense.
+  /// Builds the PDG. Renumbers the function first, so instruction ids are
+  /// dense and block ids meet the dominator tree's and loop info's
+  /// consecutive-id precondition.
   void build(Function& f);
 
   Function* function() const { return fn_; }

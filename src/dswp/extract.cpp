@@ -213,7 +213,7 @@ private:
                        const std::unordered_map<BasicBlock*, BasicBlock*>& blockMap) {
     const PartitionNeeds& n = needs_[p];
     while (!n.blocks.count(s)) {
-      BasicBlock* next = const_cast<DomTree&>(pdg_.postDomTree()).idom(s);
+      BasicBlock* next = pdg_.postDomTree().idom(s);
       if (!next) return blockMap.at(exitBlock_);  // virtual root: fall to exit
       s = next;
     }

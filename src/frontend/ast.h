@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/frontend/token.h"
+#include "src/ir/instruction.h"
 
 namespace twill {
 
@@ -63,6 +64,18 @@ enum class BinOp : uint8_t {
   Add, Sub, Mul, Div, Rem, And, Or, Xor, Shl, Shr,
   Lt, Le, Gt, Ge, Eq, Ne, LogAnd, LogOr,
 };
+
+/// The IR operation of binary operator `op` (not && or ||) on two integer
+/// operands already promoted to 32 bits, by C's usual arithmetic conversions
+/// at rank 32: unsigned when either operand is unsigned, except that `>>` is
+/// arithmetic exactly when its left operand is signed. Lowering and the
+/// constant evaluator both pick their operation here.
+struct IntBinaryOp {
+  Opcode op;
+  bool isCmp;     // a comparison: the result is a signed int 0 or 1
+  bool isSigned;  // signedness of a non-comparison result
+};
+IntBinaryOp intBinaryOp(BinOp op, bool lhsSigned, bool rhsSigned);
 
 struct Expr {
   ExprKind kind;
@@ -125,7 +138,7 @@ struct Stmt {
   ExprPtr init, step;         // For (init may also be a Decl in declStmt)
   StmtPtr declStmt;           // For init declaration
   std::vector<Declarator> decls;  // Decl
-  ExprPtr caseValue;          // Case label value (constant expression)
+  uint32_t caseValue = 0;     // Case label value, folded by the parser
   StmtPtr inner;              // Case/Default labeled statement (may be null)
 
   explicit Stmt(StmtKind k, SourceLoc l) : kind(k), loc(l) {}

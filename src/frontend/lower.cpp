@@ -1,7 +1,6 @@
 #include "src/frontend/lower.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "src/frontend/lexer.h"
 #include "src/frontend/parser.h"
@@ -346,32 +345,6 @@ void Lowerer::lowerFor(const Stmt& s) {
 void Lowerer::lowerSwitch(const Stmt& s) {
   RV v = promote(lowerExpr(*s.cond));
   BasicBlock* exitBB = newBlock("sw.end");
-  // Case label values fold over the AST (simple constant folding).
-  std::function<uint32_t(const Expr&)> fold = [&](const Expr& e) -> uint32_t {
-    switch (e.kind) {
-      case ExprKind::IntLit: return static_cast<uint32_t>(e.intValue);
-      case ExprKind::Unary:
-        if (e.unOp == UnOp::Neg) return 0u - fold(*e.a);
-        if (e.unOp == UnOp::BitNot) return ~fold(*e.a);
-        if (e.unOp == UnOp::Plus) return fold(*e.a);
-        break;
-      case ExprKind::Binary: {
-        uint32_t x = fold(*e.a), y = fold(*e.b);
-        switch (e.binOp) {
-          case BinOp::Add: return x + y;
-          case BinOp::Sub: return x - y;
-          case BinOp::Mul: return x * y;
-          case BinOp::Shl: return x << (y & 31);
-          case BinOp::Or: return x | y;
-          default: break;
-        }
-        break;
-      }
-      default: break;
-    }
-    error(e.loc, "case label is not a constant expression");
-    return 0;
-  };
   // First pass: a block per label, in source order. A case value is
   // interned in the selector's type, so duplicates compare after that
   // conversion (C11 6.8.4.2p3).
@@ -381,7 +354,7 @@ void Lowerer::lowerSwitch(const Stmt& s) {
     size_t firstStmt = 0;  // index into s.thenS->body
   };
   std::vector<CaseEntry> cases;
-  std::vector<Constant*> folded;  // values of the labels that folded
+  std::vector<Constant*> values;
   BasicBlock* defaultBB = nullptr;
   size_t numLabels = 0;
   const auto& body = s.thenS->body;
@@ -395,14 +368,10 @@ void Lowerer::lowerSwitch(const Stmt& s) {
       ce.block = defaultBB = newBlock("sw.default");
     } else {
       ce.block = newBlock("sw.case");
-      const size_t errors = diag_.errorCount();
-      ce.value = m_.constant(v.v->type(), fold(*st.caseValue));
-      // A label that did not fold is already an error and has no value.
-      if (diag_.errorCount() == errors) {
-        if (std::find(folded.begin(), folded.end(), ce.value) != folded.end())
-          error(st.loc, "duplicate case value");
-        folded.push_back(ce.value);
-      }
+      ce.value = m_.constant(v.v->type(), st.caseValue);
+      if (std::find(values.begin(), values.end(), ce.value) != values.end())
+        error(st.loc, "duplicate case value");
+      values.push_back(ce.value);
       ++numLabels;
     }
     cases.push_back(ce);
@@ -426,9 +395,16 @@ void Lowerer::lowerSwitch(const Stmt& s) {
     b_.setInsertPoint(next);
   }
   // Second pass: lower the statements between labels; fallthrough chains to
-  // the next case block.
+  // the next case block. Statements before the first label go into a block
+  // no edge reaches: their declarations are in scope for the whole body, and
+  // nothing there runs (C11 6.8.4.2p7).
   breakTargets_.push_back(exitBB);
   pushScope();
+  const size_t firstLabel = cases.empty() ? body.size() : cases[0].firstStmt - 1;
+  if (firstLabel > 0) {
+    b_.setInsertPoint(newBlock("dead"));
+    for (size_t i = 0; i < firstLabel; ++i) lowerStmt(*body[i]);
+  }
   for (size_t ci = 0; ci < cases.size(); ++ci) {
     b_.setInsertPoint(cases[ci].block);
     size_t endStmt = ci + 1 < cases.size() ? cases[ci + 1].firstStmt - 1 : body.size();
@@ -723,38 +699,12 @@ Lowerer::RV Lowerer::lowerBinary(const Expr& e) {
     error(e.loc, "invalid mixed pointer/integer operation");
     return {m_.i32Const(0), CType::intTy(32, true)};
   }
-  // Usual arithmetic conversions at rank 32: unsigned wins.
-  bool isUnsigned = !a.t.isSigned || !v.t.isSigned;
-  CType rt = CType::intTy(32, !isUnsigned);
-
-  Opcode op;
-  bool isCmp = false;
-  switch (e.binOp) {
-    case BinOp::Add: op = Opcode::Add; break;
-    case BinOp::Sub: op = Opcode::Sub; break;
-    case BinOp::Mul: op = Opcode::Mul; break;
-    case BinOp::Div: op = isUnsigned ? Opcode::UDiv : Opcode::SDiv; break;
-    case BinOp::Rem: op = isUnsigned ? Opcode::URem : Opcode::SRem; break;
-    case BinOp::And: op = Opcode::And; break;
-    case BinOp::Or: op = Opcode::Or; break;
-    case BinOp::Xor: op = Opcode::Xor; break;
-    case BinOp::Shl: op = Opcode::Shl; break;
-    case BinOp::Shr: op = !a.t.isSigned ? Opcode::LShr : Opcode::AShr; break;
-    case BinOp::Lt: op = isUnsigned ? Opcode::CmpULT : Opcode::CmpSLT; isCmp = true; break;
-    case BinOp::Le: op = isUnsigned ? Opcode::CmpULE : Opcode::CmpSLE; isCmp = true; break;
-    case BinOp::Gt: op = isUnsigned ? Opcode::CmpUGT : Opcode::CmpSGT; isCmp = true; break;
-    case BinOp::Ge: op = isUnsigned ? Opcode::CmpUGE : Opcode::CmpSGE; isCmp = true; break;
-    case BinOp::Eq: op = Opcode::CmpEQ; isCmp = true; break;
-    case BinOp::Ne: op = Opcode::CmpNE; isCmp = true; break;
-    default:
-      error(e.loc, "unsupported binary operator");
-      return {m_.i32Const(0), CType::intTy(32, true)};
-  }
-  if (isCmp) {
-    Value* c = b_.cmp(op, a.v, v.v);
+  const IntBinaryOp bin = intBinaryOp(e.binOp, a.t.isSigned, v.t.isSigned);
+  if (bin.isCmp) {
+    Value* c = b_.cmp(bin.op, a.v, v.v);
     return {b_.castTo(Opcode::ZExt, c, m_.types().i32()), CType::intTy(32, true)};
   }
-  return {b_.binary(op, a.v, v.v), rt};
+  return {b_.binary(bin.op, a.v, v.v), CType::intTy(32, bin.isSigned)};
 }
 
 Lowerer::RV Lowerer::lowerShortCircuit(const Expr& e) {

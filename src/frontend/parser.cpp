@@ -1,5 +1,8 @@
 #include "src/frontend/parser.h"
 
+#include <cassert>
+
+#include "src/ir/eval.h"
 
 namespace twill {
 
@@ -12,6 +15,34 @@ std::string CType::str() const {
       return (isSigned ? "i" : "u") + std::to_string(bits) + "[" + std::to_string(count) + "]";
   }
   return "?";
+}
+
+IntBinaryOp intBinaryOp(BinOp op, bool lhsSigned, bool rhsSigned) {
+  const bool isUnsigned = !lhsSigned || !rhsSigned;
+  auto arith = [&](Opcode o) { return IntBinaryOp{o, false, !isUnsigned}; };
+  auto cmp = [](Opcode o) { return IntBinaryOp{o, true, true}; };
+  switch (op) {
+    case BinOp::Add: return arith(Opcode::Add);
+    case BinOp::Sub: return arith(Opcode::Sub);
+    case BinOp::Mul: return arith(Opcode::Mul);
+    case BinOp::Div: return arith(isUnsigned ? Opcode::UDiv : Opcode::SDiv);
+    case BinOp::Rem: return arith(isUnsigned ? Opcode::URem : Opcode::SRem);
+    case BinOp::And: return arith(Opcode::And);
+    case BinOp::Or: return arith(Opcode::Or);
+    case BinOp::Xor: return arith(Opcode::Xor);
+    case BinOp::Shl: return arith(Opcode::Shl);
+    case BinOp::Shr: return arith(lhsSigned ? Opcode::AShr : Opcode::LShr);
+    case BinOp::Lt: return cmp(isUnsigned ? Opcode::CmpULT : Opcode::CmpSLT);
+    case BinOp::Le: return cmp(isUnsigned ? Opcode::CmpULE : Opcode::CmpSLE);
+    case BinOp::Gt: return cmp(isUnsigned ? Opcode::CmpUGT : Opcode::CmpSGT);
+    case BinOp::Ge: return cmp(isUnsigned ? Opcode::CmpUGE : Opcode::CmpSGE);
+    case BinOp::Eq: return cmp(Opcode::CmpEQ);
+    case BinOp::Ne: return cmp(Opcode::CmpNE);
+    case BinOp::LogAnd:
+    case BinOp::LogOr: break;
+  }
+  assert(false && "&& and || short-circuit; they have no single operation");
+  return arith(Opcode::Add);
 }
 
 const Token& Parser::peek(int off) const {
@@ -139,55 +170,58 @@ CType Parser::parseTypeSpec(bool* isConst) {
 
 // --- Constant expressions --------------------------------------------------------
 
-uint32_t Parser::evalConstExpr(const Expr& e) {
+Parser::Folded Parser::evalConstExpr(const Expr& e) {
+  const CType kInt = CType::intTy(32, true);
+  // Integer promotion, as Lowerer::promote: narrower ints widen to int.
+  auto promote = [&](Folded x) -> Folded {
+    if (x.type.bits >= 32) return x;
+    return {evalCast(x.type.isSigned ? Opcode::SExt : Opcode::ZExt, x.value, x.type.bits, 32),
+            kInt};
+  };
   switch (e.kind) {
     case ExprKind::IntLit:
-      return static_cast<uint32_t>(e.intValue);
+      return {static_cast<uint32_t>(e.intValue), CType::intTy(32, !e.isUnsignedLit)};
     case ExprKind::Unary: {
-      uint32_t v = evalConstExpr(*e.a);
+      const Folded v = promote(evalConstExpr(*e.a));
       switch (e.unOp) {
-        case UnOp::Neg: return 0u - v;
-        case UnOp::BitNot: return ~v;
-        case UnOp::Not: return v == 0;
+        case UnOp::Neg: return {evalBinary(Opcode::Sub, 0, v.value, 32), v.type};
+        case UnOp::BitNot: return {evalBinary(Opcode::Xor, v.value, ~0u, 32), v.type};
+        case UnOp::Not: return {v.value == 0, kInt};
         case UnOp::Plus: return v;
         default: break;
       }
       break;
     }
     case ExprKind::Binary: {
-      uint32_t a = evalConstExpr(*e.a);
-      uint32_t b = evalConstExpr(*e.b);
-      switch (e.binOp) {
-        case BinOp::Add: return a + b;
-        case BinOp::Sub: return a - b;
-        case BinOp::Mul: return a * b;
-        case BinOp::Div: return b ? a / b : 0;
-        case BinOp::Rem: return b ? a % b : 0;
-        case BinOp::And: return a & b;
-        case BinOp::Or: return a | b;
-        case BinOp::Xor: return a ^ b;
-        case BinOp::Shl: return a << (b & 31);
-        case BinOp::Shr: return a >> (b & 31);
-        case BinOp::Lt: return static_cast<int32_t>(a) < static_cast<int32_t>(b);
-        case BinOp::Le: return static_cast<int32_t>(a) <= static_cast<int32_t>(b);
-        case BinOp::Gt: return static_cast<int32_t>(a) > static_cast<int32_t>(b);
-        case BinOp::Ge: return static_cast<int32_t>(a) >= static_cast<int32_t>(b);
-        case BinOp::Eq: return a == b;
-        case BinOp::Ne: return a != b;
-        case BinOp::LogAnd: return a && b;
-        case BinOp::LogOr: return a || b;
-      }
-      break;
+      const Folded a = promote(evalConstExpr(*e.a));
+      const Folded b = promote(evalConstExpr(*e.b));
+      if (e.binOp == BinOp::LogAnd) return {a.value && b.value, kInt};
+      if (e.binOp == BinOp::LogOr) return {a.value || b.value, kInt};
+      const IntBinaryOp bin = intBinaryOp(e.binOp, a.type.isSigned, b.type.isSigned);
+      if (bin.isCmp) return {evalCompare(bin.op, a.value, b.value, 32), kInt};
+      return {evalBinary(bin.op, a.value, b.value, 32), CType::intTy(32, bin.isSigned)};
     }
-    case ExprKind::Cond:
-      return evalConstExpr(*e.a) ? evalConstExpr(*e.b) : evalConstExpr(*e.c);
-    case ExprKind::Cast:
-      return evalConstExpr(*e.a);  // masked on use
+    case ExprKind::Cond: {
+      // As Lowerer::lowerCondExpr: both arms promoted, unsigned if either is.
+      const Folded c = evalConstExpr(*e.a);
+      const Folded t = promote(evalConstExpr(*e.b));
+      const Folded f = promote(evalConstExpr(*e.c));
+      return {c.value ? t.value : f.value, CType::intTy(32, t.type.isSigned && f.type.isSigned)};
+    }
+    case ExprKind::Cast: {
+      // As Lowerer::convert; a pointer is a 32-bit unsigned address.
+      const Folded v = evalConstExpr(*e.a);
+      const CType& to = e.castType;
+      if (!to.isInt()) return {v.value, CType::intTy(32, false)};
+      if (to.bits < v.type.bits) return {evalCast(Opcode::Trunc, v.value, v.type.bits, to.bits), to};
+      const Opcode ext = v.type.isSigned ? Opcode::SExt : Opcode::ZExt;
+      return {evalCast(ext, v.value, v.type.bits, to.bits), to};
+    }
     default:
       break;
   }
   diag_.error(e.loc, "expression is not a compile-time constant");
-  return 0;
+  return {0, kInt};
 }
 
 // --- Top level -------------------------------------------------------------------
@@ -229,7 +263,7 @@ void Parser::parseGlobal(TranslationUnit& tu, CType base, bool isConst, std::str
       uint32_t n = 0;
       if (!check(Tok::RBracket)) {
         ExprPtr sz = parseConstExprNode();
-        n = evalConstExpr(*sz);
+        n = evalConstExpr(*sz).value;
       }
       expect(Tok::RBracket, "']'");
       g.type = CType::arrayOf(base.bits, base.isSigned, n);
@@ -241,7 +275,7 @@ void Parser::parseGlobal(TranslationUnit& tu, CType base, bool isConst, std::str
         if (!check(Tok::RBrace)) {
           do {
             ExprPtr e = parseConstExprNode();
-            vals.push_back(evalConstExpr(*e));
+            vals.push_back(evalConstExpr(*e).value);
           } while (accept(Tok::Comma) && !check(Tok::RBrace));
         }
         expect(Tok::RBrace, "'}'");
@@ -250,7 +284,7 @@ void Parser::parseGlobal(TranslationUnit& tu, CType base, bool isConst, std::str
         g.init = std::move(vals);
       } else {
         ExprPtr e = parseConstExprNode();
-        g.init.push_back(evalConstExpr(*e));
+        g.init.push_back(evalConstExpr(*e).value);
       }
     }
     if (g.type.isArray() && g.type.count == 0) error("global array needs a size or initializer");
@@ -336,7 +370,7 @@ StmtPtr Parser::parseDeclStmt() {
       uint32_t n = 0;
       if (!check(Tok::RBracket)) {
         ExprPtr sz = parseConstExprNode();
-        n = evalConstExpr(*sz);
+        n = evalConstExpr(*sz).value;
       }
       expect(Tok::RBracket, "']'");
       d.type = CType::arrayOf(t.bits, t.isSigned, n);
@@ -455,7 +489,7 @@ StmtPtr Parser::parseStmt() {
     case Tok::KwCase: {
       advance();
       auto s = std::make_unique<Stmt>(StmtKind::Case, loc);
-      s->caseValue = parseConstExprNode();
+      s->caseValue = evalConstExpr(*parseConstExprNode()).value;
       expect(Tok::Colon, "':'");
       // The labeled statement is parsed as a sibling in the switch body.
       return s;

@@ -55,9 +55,16 @@ private:
   ExprPtr parsePostfix();
   ExprPtr parsePrimary();
 
-  /// Evaluates a constant expression (literals, unary/binary arithmetic);
-  /// reports an error and returns 0 if not constant.
-  uint32_t evalConstExpr(const Expr& e);
+  /// A folded constant expression: its 32-bit value and its C type (an
+  /// integer type).
+  struct Folded {
+    uint32_t value;
+    CType type;
+  };
+  /// Evaluates a constant expression (literals, unary/binary arithmetic,
+  /// casts, `?:`) with the semantics lowering gives the same expression at
+  /// run time; reports an error and returns 0 if not constant.
+  Folded evalConstExpr(const Expr& e);
   ExprPtr parseConstExprNode() { return parseCond(); }
 
   /// RAII depth/node accounting for the recursive-descent entry points

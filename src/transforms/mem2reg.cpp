@@ -3,7 +3,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "src/analysis/cfg.h"
 #include "src/analysis/domtree.h"
 #include "src/transforms/passes.h"
 
@@ -28,14 +27,6 @@ bool isPromotable(Instruction* alloca) {
   return true;
 }
 
-struct DomChildren {
-  std::unordered_map<BasicBlock*, std::vector<BasicBlock*>> children;
-  explicit DomChildren(DomTree& dom) {
-    for (BasicBlock* bb : dom.order())
-      if (BasicBlock* p = dom.idom(bb)) children[p].push_back(bb);
-  }
-};
-
 }  // namespace
 
 bool mem2reg(Function& f) {
@@ -47,9 +38,9 @@ bool mem2reg(Function& f) {
   if (allocas.empty()) return false;
 
   Module& m = *f.parent();
+  f.renumber();
   DomTree dom;
   dom.build(f, false);
-  DomChildren kids(dom);
 
   std::unordered_map<Instruction*, unsigned> allocaIndex;
   for (unsigned i = 0; i < allocas.size(); ++i) allocaIndex[allocas[i]] = i;
@@ -142,10 +133,9 @@ bool mem2reg(Function& f) {
   processBlock(stack.back());
   while (!stack.empty()) {
     Frame& fr = stack.back();
-    auto kidIt = kids.children.find(fr.bb);
-    size_t nKids = kidIt == kids.children.end() ? 0 : kidIt->second.size();
-    if (fr.child < nKids) {
-      BasicBlock* next = kidIt->second[fr.child++];
+    const Span<BasicBlock* const> kids = dom.children(fr.bb);
+    if (fr.child < kids.size()) {
+      BasicBlock* next = kids[fr.child++];
       stack.push_back({next, 0, {}});
       processBlock(stack.back());
     } else {

@@ -1,8 +1,6 @@
 // CFG simplification, dead-code elimination, constant folding, merge-return
 // and loop-simplify.
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "src/analysis/cfg.h"
 #include "src/analysis/domtree.h"
@@ -26,21 +24,33 @@ void removePhiEntries(BasicBlock* succ, BasicBlock* pred) {
 }
 
 bool removeUnreachableBlocks(Function& f) {
-  std::vector<BasicBlock*> rpo = reversePostOrder(f);
-  // The walk reaches every block — the common case — so nothing is dead and
-  // the membership set below is never needed.
-  if (rpo.size() == f.numBlocks()) return false;
-  std::unordered_set<BasicBlock*> reachable(rpo.begin(), rpo.end());
+  if (f.numBlocks() == 0) return false;
+  f.renumber();
+  std::vector<uint8_t> reachable(f.numBlocks(), 0);
+  std::vector<BasicBlock*> work{f.entry()};
+  reachable[f.entry()->id()] = 1;
+  size_t live = 1;
+  while (!work.empty()) {
+    BasicBlock* bb = work.back();
+    work.pop_back();
+    for (BasicBlock* s : bb->successors())
+      if (!reachable[s->id()]) {
+        reachable[s->id()] = 1;
+        ++live;
+        work.push_back(s);
+      }
+  }
+  // The walk reaches every block — the common case — so nothing is dead.
+  if (live == f.numBlocks()) return false;
   std::vector<BasicBlock*> dead;
   for (auto& bb : f.blocks())
-    if (!reachable.count(bb)) dead.push_back(bb);
-  if (dead.empty()) return false;
+    if (!reachable[bb->id()]) dead.push_back(bb);
   // First detach dead blocks from live PHIs, then sever *all* operand links
   // inside the dead region (dead blocks may reference each other's
   // instructions), and only then destroy the blocks.
   for (BasicBlock* d : dead)
     for (BasicBlock* s : d->successors())
-      if (reachable.count(s)) removePhiEntries(s, d);
+      if (reachable[s->id()]) removePhiEntries(s, d);
   for (BasicBlock* d : dead)
     for (auto& inst : *d) inst->dropOperands();
   for (BasicBlock* d : dead) f.eraseBlock(d);
@@ -344,6 +354,7 @@ bool mergeReturns(Function& f, Module& m) {
 
 bool loopSimplify(Function& f, Module& m) {
   bool changed = false;
+  f.renumber();
   DomTree dom;
   dom.build(f, false);
   LoopInfo li;

@@ -358,10 +358,9 @@ std::string stripPartitionSuffix(const std::string& name) {
   return name.substr(0, pos);
 }
 
-/// One function's loop context, built once: dominators and natural loops,
-/// each loop's relative chain key and latches, each block's innermost loop.
-/// Blocks are indexed by their position in the function, loops by their
-/// position in LoopInfo::loops().
+/// One function's loop context, built once: dominators, natural loops and
+/// each loop's relative chain key. Blocks are indexed by their position in
+/// the function (ModuleIndex::localBlock), loops by Loop::index.
 struct FnLoops {
   Function* fn = nullptr;
   DomTree dom;
@@ -370,7 +369,6 @@ struct FnLoops {
   bool isSlave = false;
   std::vector<BasicBlock*> rets;  // blocks ending in Ret
   std::vector<BasicBlock*> blocks;
-  std::vector<int> loopOf;  // block -> innermost loop, -1 outside every loop
   // The chain key of every loop whose enclosing loops can be made relative
   // to the per-invocation region (-1 for the others and for the dispatch
   // loop), as an index into `keys`: the distinct chain keys plus "" (the
@@ -380,14 +378,11 @@ struct FnLoops {
   std::vector<int> loopKey;
   std::vector<std::string> keys;
   std::vector<int> keyLoops;
-  std::vector<unsigned> latchBegin, subBegin;  // CSR over loops
-  std::vector<BasicBlock*> latchList;
-  std::vector<unsigned> subList;
   // Per block: does it dominate every latch of its innermost loop (every
   // return outside loops)? -1 until first asked.
   std::vector<int8_t> uncond;
-  std::vector<unsigned> predBegin, predList;  // built on first use
 
+  /// The ModuleIndex numbers f's blocks consecutively, as the analyses need.
   FnLoops(Function& f, const ModuleIndex& idx) : fn(&f), isSlave(idx.isSlave(&f)) {
     dom.build(f, /*postDom=*/false);
     loops.build(f, dom);
@@ -408,27 +403,12 @@ struct FnLoops {
     }
 
     const auto& all = loops.loops();
-    std::vector<std::pair<const Loop*, int>> byPtr;
-    for (size_t i = 0; i < all.size(); ++i) byPtr.push_back({all[i].get(), static_cast<int>(i)});
-    std::sort(byPtr.begin(), byPtr.end());
-    auto indexOf = [&](const Loop* l) {
-      return std::lower_bound(byPtr.begin(), byPtr.end(), std::make_pair(l, 0))->second;
-    };
-    for (BasicBlock* bb : blocks) {
-      const Loop* l = loops.loopFor(bb);
-      loopOf.push_back(l ? indexOf(l) : -1);
-    }
-
     std::vector<std::string> chainKeys(all.size());
     std::vector<const Loop*> chain;
     loopKey.assign(all.size(), -1);
     keys.push_back("");
     for (size_t i = 0; i < all.size(); ++i) {
       const Loop* l = all[i].get();
-      latchBegin.push_back(static_cast<unsigned>(latchList.size()));
-      for (BasicBlock* latch : l->latches()) latchList.push_back(latch);
-      subBegin.push_back(static_cast<unsigned>(subList.size()));
-      for (const Loop* sub : l->subloops) subList.push_back(indexOf(sub));
       if (l == dispatch || !relativeChain(l, chain)) continue;
       for (const Loop* c : chain) {
         if (!chainKeys[i].empty()) chainKeys[i] += "/";
@@ -437,8 +417,6 @@ struct FnLoops {
       keys.push_back(chainKeys[i]);
       loopKey[i] = 0;  // resolved once `keys` is sorted
     }
-    latchBegin.push_back(static_cast<unsigned>(latchList.size()));
-    subBegin.push_back(static_cast<unsigned>(subList.size()));
     std::sort(keys.begin(), keys.end());
     keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
     keyLoops.assign(keys.size(), 0);
@@ -482,10 +460,10 @@ struct FnLoops {
   /// Key of the relative chain of the loops around block `b`, or -1 when it
   /// has none (a slave block outside its dispatch loop).
   int blockKey(unsigned b) const {
-    const int l = loopOf[b];
-    if (l < 0) return isSlave ? -1 : 0;
-    if (loops.loops()[l].get() == dispatch) return 0;
-    return loopKey[l];
+    const Loop* l = loops.loopFor(blocks[b]);
+    if (!l) return isSlave ? -1 : 0;
+    if (l == dispatch) return 0;
+    return loopKey[l->index];
   }
 
   /// True when block `b` executes exactly once per iteration of its region:
@@ -495,11 +473,10 @@ struct FnLoops {
   /// the innermost loop).
   bool unconditional(unsigned b) {
     if (uncond[b] < 0) {
-      const int l = loopOf[b];
+      const Loop* l = loops.loopFor(blocks[b]);
       bool all = true;
-      if (l >= 0) {
-        for (unsigned k = latchBegin[l]; k < latchBegin[l + 1]; ++k)
-          all = all && dom.dominates(blocks[b], latchList[k]);
+      if (l) {
+        for (BasicBlock* latch : l->latches) all = all && dom.dominates(blocks[b], latch);
       } else {
         for (BasicBlock* ret : rets) all = all && dom.dominates(blocks[b], ret);
         all = all && !rets.empty();
@@ -507,17 +484,6 @@ struct FnLoops {
       uncond[b] = all;
     }
     return uncond[b] != 0;
-  }
-
-  /// Predecessor lists by block index (blocks of other functions dropped).
-  void buildPreds(const ModuleIndex& idx) {
-    if (!predBegin.empty()) return;
-    for (BasicBlock* bb : blocks) {
-      predBegin.push_back(static_cast<unsigned>(predList.size()));
-      for (BasicBlock* p : bb->predecessors())
-        if (idx.numbered(p) && p->parent() == fn) predList.push_back(idx.localBlock(p));
-    }
-    predBegin.push_back(static_cast<unsigned>(predList.size()));
   }
 };
 
@@ -675,11 +641,11 @@ class LoopSemNets {
               Span<const Site> lowers)
       : fl_(fl), idx_(idx), raises_(raises), lowers_(lowers), memo_(fl.loops.loops().size()) {}
 
-  /// Net of loop `l` using only sites pinned to exactly-once-per-iteration
+  /// Net of `loop` using only sites pinned to exactly-once-per-iteration
   /// blocks; subloops must net to zero. False when the net cannot be pinned
   /// to a constant.
-  bool net(unsigned l, long& out) {
-    Memo& m = memo_[l];
+  bool net(const Loop* loop, long& out) {
+    Memo& m = memo_[loop->index];
     if (!m.done) {
       m.done = true;
       m.ok = true;
@@ -687,8 +653,9 @@ class LoopSemNets {
       auto addSites = [&](Span<const Site> sites, long sign) {
         for (const Site& s : sites) {
           if (s.fn != fl_.fn) continue;
+          // Subloop sites are handled below.
+          if (fl_.loops.loopFor(s.inst->parent()) != loop) continue;
           const unsigned b = idx_.localBlock(s.inst->parent());
-          if (fl_.loopOf[b] != static_cast<int>(l)) continue;  // subloop sites handled below
           long k = 0;
           if (!constCount(s.inst, k) || !fl_.unconditional(b)) {
             m.ok = false;
@@ -699,9 +666,9 @@ class LoopSemNets {
       };
       addSites(raises_, +1);
       addSites(lowers_, -1);
-      for (unsigned k = fl_.subBegin[l]; k < fl_.subBegin[l + 1]; ++k) {
+      for (const Loop* sub : loop->subloops) {
         long subNet = 0;
-        if (!this->net(fl_.subList[k], subNet) || subNet != 0) m.ok = false;
+        if (!this->net(sub, subNet) || subNet != 0) m.ok = false;
       }
       m.net = net;
     }
@@ -747,16 +714,15 @@ void checkSemaphoreBalance(const DswpResult& dswp, const ModuleIndex& idx, LoopC
 
       // Unbounded lowering: any loop with a constant negative iteration net.
       LoopSemNets nets(fl, idx, raises, lowers);
-      const auto& loops = fl.loops.loops();
-      for (unsigned l = 0; l < loops.size(); ++l) {
+      for (const auto& loop : fl.loops.loops()) {
         long net = 0;
-        if (!nets.net(l, net)) continue;
+        if (!nets.net(loop.get(), net)) continue;
         if (net >= 0) continue;
         bool hasLower = false;
         for (const Site& s : lowers)
-          if (s.fn == f && loops[l]->contains(s.inst->parent())) hasLower = true;
+          if (s.fn == f && loop->contains(s.inst->parent())) hasLower = true;
         if (!hasLower) continue;
-        diag.error({}, "[" + f->name() + "] loop '" + loops[l]->header->name() +
+        diag.error({}, "[" + f->name() + "] loop '" + loop->header->name() +
                            "': each iteration " + "lowers " + semDesc(&sem, sem.id) + " " +
                            std::to_string(-net) +
                            " more than it raises it, and no other thread raises it; any " +
@@ -782,24 +748,22 @@ void checkSemaphoreBalance(const DswpResult& dswp, const ModuleIndex& idx, LoopC
         }
       }
       if (!allConst) continue;
-      fl.buildPreds(idx);
+      // Offsets by position in the dominator tree's order (reachable blocks
+      // in reverse postorder, the entry first).
       const std::vector<BasicBlock*>& rpo = fl.dom.order();
-      maxOff.assign(fl.blocks.size(), kUnreached);
+      maxOff.assign(rpo.size(), kUnreached);
       maxOff[0] = 0;  // the entry
       bool converged = false;
       for (size_t pass = 0; pass < rpo.size() + 3 && !converged; ++pass) {
         converged = true;
-        for (BasicBlock* bb : rpo) {
-          const unsigned b = idx.localBlock(bb);
-          if (b == 0) continue;
+        for (unsigned i = 1; i < rpo.size(); ++i) {
           long best = kUnreached;
-          for (unsigned k = fl.predBegin[b]; k < fl.predBegin[b + 1]; ++k) {
-            const unsigned p = fl.predList[k];
+          for (unsigned p : fl.dom.preds(i)) {
             if (maxOff[p] == kUnreached) continue;
-            best = std::max(best, maxOff[p] + blockNet[p]);
+            best = std::max(best, maxOff[p] + blockNet[idx.localBlock(rpo[p])]);
           }
-          if (best != maxOff[b]) {
-            maxOff[b] = best;
+          if (best != maxOff[i]) {
+            maxOff[i] = best;
             converged = false;
           }
         }
@@ -808,8 +772,9 @@ void checkSemaphoreBalance(const DswpResult& dswp, const ModuleIndex& idx, LoopC
       for (const Site& s : lowers) {
         if (s.fn != f) continue;
         BasicBlock* bb = s.inst->parent();
-        long off = maxOff[idx.localBlock(bb)];
-        if (off == kUnreached) continue;  // unreachable
+        const int i = fl.dom.index(bb);
+        if (i < 0 || maxOff[i] == kUnreached) continue;  // unreachable
+        long off = maxOff[i];
         bool found = false;
         for (auto& inst : *bb) {
           long k = 0;

@@ -6,6 +6,7 @@
 #include "src/analysis/cfg.h"
 #include "src/analysis/pdg.h"
 #include "src/frontend/lower.h"
+#include "src/ir/builder.h"
 #include "src/ir/printer.h"
 #include "src/ir/verifier.h"
 
@@ -17,11 +18,14 @@ protected:
   Module m;
   DiagEngine diag;
 
+  /// Compiles `src` and returns `fn`, renumbered as DomTree and LoopInfo
+  /// require.
   Function* compile(const std::string& src, const std::string& fn = "main") {
     bool ok = compileC(src, m, diag);
     EXPECT_TRUE(ok) << diag.str();
     Function* f = m.findFunction(fn);
     EXPECT_NE(f, nullptr);
+    if (f) f->renumber();
     return f;
   }
 
@@ -135,6 +139,133 @@ TEST_F(AnalysisFixture, LoopInfoWhileAndDo) {
   li.build(*f, dom);
   EXPECT_EQ(li.loops().size(), 2u);
   EXPECT_EQ(li.topLevelLoops().size(), 2u);
+}
+
+TEST_F(AnalysisFixture, BlockCreatedAfterBuildIsUnreachableAndInNoLoop) {
+  Function* f = compile(
+      "int main() { int s = 0; for (int i = 0; i < 10; i++) s += i; return s; }");
+  DomTree dom;
+  dom.build(*f, false);
+  LoopInfo li;
+  li.build(*f, dom);
+  BasicBlock* cond = blockNamed(f, "for.cond");
+  BasicBlock* body = blockNamed(f, "for.body");
+  ASSERT_TRUE(cond && body);
+  Loop* l = li.loopFor(body);
+  ASSERT_NE(l, nullptr);
+  // The split block sits inside the loop, but the analyses predate it.
+  BasicBlock* late = splitEdge(*f, cond, body, "late");
+  EXPECT_FALSE(dom.isReachable(late));
+  EXPECT_EQ(dom.idom(late), nullptr);
+  EXPECT_FALSE(dom.dominates(f->entry(), late));
+  EXPECT_TRUE(dom.children(late).empty());
+  EXPECT_TRUE(dom.frontier(late).empty());
+  EXPECT_EQ(li.loopFor(late), nullptr);
+  EXPECT_EQ(li.depth(late), 0u);
+  EXPECT_FALSE(l->contains(late));
+  // ...so the loop now branches out of itself through it.
+  EXPECT_EQ(l->exitBlocks(), (std::vector<BasicBlock*>{late, blockNamed(f, "for.end")}));
+}
+
+TEST_F(AnalysisFixture, BlockOfAnotherFunctionIsNotFound) {
+  // Both functions are renumbered from 0, so every block id of `other`
+  // collides with one of main's.
+  Function* f = compile(
+      "int other(int n) { int s = 0; while (n > 0) { s += n; n--; } return s; }"
+      "int main() { int s = 0; for (int i = 0; i < 10; i++) s += i; return s; }");
+  Function* g = m.findFunction("other");
+  ASSERT_NE(g, nullptr);
+  g->renumber();
+  DomTree dom;
+  dom.build(*f, false);
+  LoopInfo li;
+  li.build(*f, dom);
+  ASSERT_EQ(li.loops().size(), 1u);
+  const Loop* l = li.loops()[0].get();
+  for (auto& bb : g->blocks()) {
+    EXPECT_FALSE(dom.isReachable(bb)) << bb->name();
+    EXPECT_EQ(dom.idom(bb), nullptr) << bb->name();
+    EXPECT_FALSE(dom.dominates(f->entry(), bb)) << bb->name();
+    EXPECT_FALSE(dom.dominates(bb, bb)) << bb->name();
+    EXPECT_EQ(li.loopFor(bb), nullptr) << bb->name();
+    EXPECT_FALSE(l->contains(bb)) << bb->name();
+  }
+}
+
+TEST_F(AnalysisFixture, LoopExitBlocksInBlockOrder) {
+  Function* f = compile(
+      "int main() { int s = 0;"
+      "for (int i = 0; i < 10; i++) {"
+      "  if (s > 50) break;"
+      "  if (s == 7) return 3;"
+      "  s += i; }"
+      "return s; }");
+  DomTree dom;
+  dom.build(*f, false);
+  LoopInfo li;
+  li.build(*f, dom);
+  Loop* l = li.loopFor(blockNamed(f, "for.body"));
+  ASSERT_NE(l, nullptr);
+  // Outside the loop: the loop's own exit, then the `break` and `return`
+  // blocks, which the body creates in source order after it.
+  std::vector<BasicBlock*> expected{blockNamed(f, "for.end")};
+  for (auto& bb : f->blocks())
+    if (bb->name().rfind("if.then", 0) == 0) expected.push_back(bb);
+  ASSERT_EQ(expected.size(), 3u);
+  EXPECT_EQ(l->exitBlocks(), expected);
+  for (BasicBlock* bb : l->blocks) EXPECT_TRUE(l->contains(bb)) << bb->name();
+  for (size_t i = 1; i < l->blocks.size(); ++i)
+    EXPECT_LT(l->blocks[i - 1]->id(), l->blocks[i]->id());
+}
+
+TEST_F(AnalysisFixture, DominatorsOfIrreducibleTwoEntryLoop) {
+  // entry branches into both A and B, which branch to each other: a cycle
+  // with two entries, so neither dominates the other and there is no
+  // natural loop.
+  Function* f = m.createFunction("irr", m.types().i32());
+  Argument* c = f->addArg(m.types().i32(), "c");
+  BasicBlock* entry = f->createBlock("entry");
+  BasicBlock* a = f->createBlock("a");
+  BasicBlock* b = f->createBlock("b");
+  BasicBlock* exit = f->createBlock("exit");
+  IRBuilder ib(m);
+  ib.setInsertPoint(entry);
+  ib.condBr(ib.cmp(Opcode::CmpNE, c, m.i32Const(0)), a, b);
+  ib.setInsertPoint(a);
+  ib.br(b);
+  ib.setInsertPoint(b);
+  ib.condBr(ib.cmp(Opcode::CmpEQ, c, m.i32Const(1)), a, exit);
+  ib.setInsertPoint(exit);
+  ib.ret(c);
+  f->renumber();
+
+  DomTree dom;
+  dom.build(*f, false);
+  EXPECT_EQ(dom.order(), (std::vector<BasicBlock*>{entry, a, b, exit}));
+  EXPECT_EQ(dom.idom(entry), nullptr);
+  EXPECT_EQ(dom.idom(a), entry);
+  EXPECT_EQ(dom.idom(b), entry);
+  EXPECT_EQ(dom.idom(exit), b);
+  EXPECT_FALSE(dom.dominates(a, b));
+  EXPECT_FALSE(dom.dominates(b, a));
+  EXPECT_TRUE(dom.dominates(b, exit));
+  EXPECT_TRUE(dom.dominates(entry, exit));
+  std::vector<BasicBlock*> kids(dom.children(entry).begin(), dom.children(entry).end());
+  EXPECT_EQ(kids, (std::vector<BasicBlock*>{a, b}));
+  EXPECT_EQ(dom.frontier(a), std::vector<BasicBlock*>{b});
+  EXPECT_EQ(dom.frontier(b), std::vector<BasicBlock*>{a});
+  EXPECT_TRUE(dom.frontier(entry).empty());
+
+  DomTree pdom;
+  pdom.build(*f, true);
+  EXPECT_EQ(pdom.idom(exit), nullptr);
+  EXPECT_EQ(pdom.idom(b), exit);
+  EXPECT_EQ(pdom.idom(a), b);
+  EXPECT_EQ(pdom.idom(entry), b);
+
+  LoopInfo li;
+  li.build(*f, dom);
+  EXPECT_TRUE(li.loops().empty());
 }
 
 TEST_F(AnalysisFixture, AliasDistinguishesGlobals) {

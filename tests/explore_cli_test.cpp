@@ -10,7 +10,11 @@
 
 #include <sys/wait.h>
 
+#include "tests/normalize_walls.h"
+
 namespace {
+
+using twill::normalizeWalls;
 
 #ifndef TWILL_EXPLORE_PATH
 #error "TWILL_EXPLORE_PATH must be defined to the twill-explore binary location"
@@ -44,28 +48,6 @@ std::string tempPath(const std::string& suffix) {
 std::string slurp(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
   return std::string((std::istreambuf_iterator<char>(f)), std::istreambuf_iterator<char>());
-}
-
-/// Zeroes every *_wall_ms value: the only fields whose bytes legitimately
-/// differ between two runs of the same workload. (Hand-rolled: gcc 12's
-/// <regex> trips -Wmaybe-uninitialized under the sanitizer build.)
-std::string normalizeWalls(const std::string& json) {
-  const std::string marker = "_wall_ms\": ";
-  std::string out;
-  size_t pos = 0;
-  for (;;) {
-    size_t hit = json.find(marker, pos);
-    if (hit == std::string::npos) {
-      out.append(json, pos, std::string::npos);
-      return out;
-    }
-    size_t valueStart = hit + marker.size();
-    out.append(json, pos, valueStart - pos);
-    out.push_back('0');
-    pos = valueStart;
-    while (pos < json.size() && std::string("+-.eE0123456789").find(json[pos]) != std::string::npos)
-      ++pos;
-  }
 }
 
 const char* kTinyGrid = " --kernel mips --partitions 0,2 --queue-capacity 2,8";

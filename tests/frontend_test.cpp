@@ -375,12 +375,42 @@ TEST(FrontendTest, ErrorDuplicateCaseValue) {
   // A label that does not fold is its own error, not a duplicate of another.
   Module m;
   DiagEngine diag;
-  EXPECT_FALSE(compileC("int main() { int x = 4; switch (x) {"
-                        "case 8 >> 1: return 1; case 6 & 3: return 2; case 0: return 3; }"
+  EXPECT_FALSE(compileC("int main() { int x = 4; int y = 2; switch (x) {"
+                        "case x: return 1; case y: return 2; case 0: return 3; }"
                         "return 0; }",
                         m, diag));
   EXPECT_EQ(diag.errorCount(), 2u) << diag.str();
   EXPECT_EQ(diag.str().find("duplicate"), std::string::npos) << diag.str();
+}
+
+TEST(FrontendTest, ConstantExpressionsFoldLikeRunTime) {
+  // A global initializer and a case label fold each expression with the
+  // operation lowering gives it at run time: signed or unsigned by the
+  // usual arithmetic conversions, `>>` arithmetic on a signed left operand,
+  // casts truncating and extending.
+  for (const char* e : {"-8 >> 1", "-7 / 2", "-7 % 2", "0xFFFFFFFF > 1", "-1 < 0u", "8 >> 1",
+                        "(6 & 3)", "(char)200 + 0", "(unsigned char)-1 >> 1",
+                        "(short)70000 / 3", "~0u / 2", "1 ? -1 : 0u"}) {
+    const std::string expr = e;
+    // 1 when the global matches, 2 when the case label does.
+    const std::string prog = "int g = " + expr + ";" +
+                             "int main() { int x = " + expr + "; int r = 0;" +
+                             "switch (x) { case " + expr + ": r = 2; }" +
+                             "return (g == x) + r; }";
+    EXPECT_EQ(runC(prog), 3u) << expr;
+  }
+}
+
+TEST(FrontendTest, SwitchDeclarationBeforeFirstLabel) {
+  // C11 6.8.4.2p7: a declaration ahead of the first label is in scope for
+  // the whole body, and nothing ahead of the first label runs.
+  EXPECT_EQ(runC("int main() { int x = 1; int s = 0; switch (x) {"
+                 "int y; s = 100;"
+                 "case 1: y = 7; s += y; break;"
+                 "case 2: s = 2; }"
+                 "return s; }"),
+            7u);
+  EXPECT_EQ(runC("int main() { int s = 5; switch (s) { s = 100; } return s; }"), 5u);
 }
 
 TEST(FrontendTest, ErrorSecondDefaultLabel) {

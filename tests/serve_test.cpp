@@ -15,18 +15,19 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
 
 #include "src/serve/http.h"
 #include "src/serve/service.h"
+#include "tests/normalize_walls.h"
 
 namespace {
 
 using twill::HttpRequest;
 using twill::HttpResponse;
+using twill::normalizeWalls;
 using twill::ServiceConfig;
 using twill::TwillService;
 
@@ -131,13 +132,6 @@ HttpResponse fetchMissThenFullHit(TwillService& svc, const std::string& body, in
   EXPECT_EQ(svc.stats().cacheFullHits, 1u);
   EXPECT_EQ(reports[1].body, reports[0].body);
   return reports[0];
-}
-
-/// The *_wall_ms fields are the only nondeterministic report content; the
-/// bench gate treats them the same way (warn-only in bench_diff).
-std::string normalizeWallTimes(const std::string& doc) {
-  static const std::regex kWall("(\"[a-z_]*wall_ms\": )[0-9.e+-]+");
-  return std::regex_replace(doc, kWall, "$1X");
 }
 
 /// Value of a label-less or fully-labelled series in a Prometheus text
@@ -288,7 +282,7 @@ TEST(ServeTest, SimAxisChangeReusesTheCachedCompile) {
   HttpResponse fresh = submitAndFetch(
       cold, sourceRequest(kQuickProgram, "\"sim\": {\"queue_capacity\": 16}"));
   ASSERT_EQ(reused.status, 200) << reused.body;
-  EXPECT_EQ(normalizeWallTimes(reused.body), normalizeWallTimes(fresh.body));
+  EXPECT_EQ(normalizeWalls(reused.body), normalizeWalls(fresh.body));
 }
 
 // A compile whose data outgrows the default 4 MiB simulated memory, under a
@@ -314,7 +308,7 @@ TEST(ServeTest, ArtifactHitOverDefaultMemoryResimulates) {
   HttpResponse fresh = submitAndFetch(cold, sourceRequest(program, deeper));
   ASSERT_EQ(fresh.status, 200) << fresh.body;
   ASSERT_EQ(reused.status, 200) << reused.body;
-  EXPECT_EQ(normalizeWallTimes(reused.body), normalizeWallTimes(fresh.body));
+  EXPECT_EQ(normalizeWalls(reused.body), normalizeWalls(fresh.body));
 }
 
 TEST(ServeTest, ByteBudgetEvictsLeastRecentlyUsedEntries) {
@@ -768,7 +762,7 @@ TEST(TwilldTest, DaemonMatchesTwillcByteForByteModuloWallTimes) {
 
   // The oracle: the same request document through twillc.
   std::string cliDoc = runCommand(std::string(TWILLC_PATH) + " --json --request " + reqFile);
-  EXPECT_EQ(normalizeWallTimes(daemonDoc), normalizeWallTimes(cliDoc))
+  EXPECT_EQ(normalizeWalls(daemonDoc), normalizeWalls(cliDoc))
       << "daemon report and twillc --json must be byte-identical modulo wall times";
 
   // Clean shutdown: SIGTERM -> exit 0.

@@ -18,22 +18,17 @@ void PDG::build(Function& f) {
   pdom_.build(f, /*postDom=*/true);
   loops_.build(f, dom_);
 
-  nodes_.clear();
   edges_.clear();
   byId_.assign(f.numValueSlots(), nullptr);
   succ_.assign(f.numValueSlots(), {});
   pred_.assign(f.numValueSlots(), {});
-  blockCtrlDeps_.clear();
+  ctrlDeps_.assign(f.numBlocks(), {});
 
-  for (auto& bb : f.blocks()) {
-    for (auto& inst : *bb) {
-      nodes_.push_back(inst);
-      byId_[inst->id()] = inst;
-    }
-  }
+  for (auto& bb : f.blocks())
+    for (auto& inst : *bb) byId_[inst->id()] = inst;
 
   // --- Data dependences (SSA def-use) --------------------------------------
-  for (Instruction* inst : nodes_) {
+  for (Instruction* inst : nodes()) {
     for (unsigned i = 0; i < inst->numOperands(); ++i) {
       if (auto* def = dyn_cast<Instruction>(inst->operand(i))) {
         if (def->parent() && def->parent()->parent() == &f) addEdge(def, inst, DepKind::Data);
@@ -65,7 +60,7 @@ void PDG::buildControlDeps(Function& f) {
       BasicBlock* stop = pdom_.isReachable(a) ? pdom_.idom(a) : nullptr;
       BasicBlock* runner = s;
       while (runner && runner != stop && runner != a) {
-        auto& deps = blockCtrlDeps_[runner];
+        auto& deps = ctrlDeps_[runner->id()];
         if (std::find(deps.begin(), deps.end(), term) == deps.end()) {
           deps.push_back(term);
           for (auto& inst : *runner) addEdge(term, inst, DepKind::Control);
@@ -87,7 +82,7 @@ void PDG::buildControlDeps(Function& f) {
       // a is control-dependent on itself if a postdominates s but a's idom
       // chain from s reaches a before a's own immediate postdominator.
       if (pdom_.dominates(a, s)) {
-        auto& deps = blockCtrlDeps_[a];
+        auto& deps = ctrlDeps_[a->id()];
         if (std::find(deps.begin(), deps.end(), term) == deps.end()) {
           deps.push_back(term);
           for (auto& inst : *a) addEdge(term, inst, DepKind::Control);
@@ -173,10 +168,10 @@ void PDG::buildMemoryDeps(Function& f, AliasAnalysis& aa) {
   }
 }
 
-const std::vector<Instruction*>& PDG::controlDepsOf(BasicBlock* bb) const {
+const std::vector<Instruction*>& PDG::controlDepsOf(const BasicBlock* bb) const {
   static const std::vector<Instruction*> kEmpty;
-  auto it = blockCtrlDeps_.find(bb);
-  return it == blockCtrlDeps_.end() ? kEmpty : it->second;
+  if (bb->parent() != fn_ || bb->id() >= ctrlDeps_.size()) return kEmpty;
+  return ctrlDeps_[bb->id()];
 }
 
 // ---------------------------------------------------------------------------

@@ -18,9 +18,12 @@
 // comparisons per query) and each op's outermost loop (two ops share a loop
 // exactly when their outermost loops are the same), so no per-pair or
 // per-block-pair table is kept.
+//
+// Every table is indexed by the numbering build() gives the function:
+// nodes and adjacency by instruction id, control dependences by block id.
+// The DSWP partitioner and extractor key their own tables the same way.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "src/analysis/alias.h"
@@ -46,17 +49,24 @@ public:
 
   Function* function() const { return fn_; }
   const std::vector<PDGEdge>& edges() const { return edges_; }
-  const std::vector<Instruction*>& nodes() const { return nodes_; }
+  /// The function's instructions in block order (which is id order).
+  Span<Instruction* const> nodes() const {
+    const unsigned args = fn_->numArgs();
+    return {byId_.data() + args, byId_.size() - args};
+  }
 
   /// Outgoing / incoming adjacency by dense instruction id.
   const std::vector<unsigned>& succs(unsigned id) const { return succ_[id]; }
   const std::vector<unsigned>& preds(unsigned id) const { return pred_[id]; }
+  /// Instruction by id; nullptr for the argument slots [0, numArgs).
   Instruction* node(unsigned id) const { return byId_[id]; }
+  /// Value slots of the function: one past the largest instruction id.
   unsigned numNodes() const { return static_cast<unsigned>(byId_.size()); }
 
-  /// Blocks this block is control-dependent on: pairs (branch terminator,
-  /// successor index that leads here).
-  const std::vector<Instruction*>& controlDepsOf(BasicBlock* bb) const;
+  /// The branch terminators this block is control-dependent on, in
+  /// discovery order. A block of another function, or one created after
+  /// build(), has none.
+  const std::vector<Instruction*>& controlDepsOf(const BasicBlock* bb) const;
 
   const DomTree& domTree() const { return dom_; }
   const DomTree& postDomTree() const { return pdom_; }
@@ -72,11 +82,10 @@ private:
   DomTree pdom_;
   LoopInfo loops_;
   std::vector<PDGEdge> edges_;
-  std::vector<Instruction*> nodes_;
-  std::vector<Instruction*> byId_;
+  std::vector<Instruction*> byId_;  // instruction id -> instruction
   std::vector<std::vector<unsigned>> succ_;
   std::vector<std::vector<unsigned>> pred_;
-  std::unordered_map<BasicBlock*, std::vector<Instruction*>> blockCtrlDeps_;
+  std::vector<std::vector<Instruction*>> ctrlDeps_;  // block id -> branches
 };
 
 /// Tarjan SCC over the PDG. Returns SCCs in reverse topological order of the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "src/analysis/cfg.h"
@@ -15,18 +14,18 @@
 namespace twill {
 namespace {
 
-/// Everything one partition needs from the rest of its function.
-/// Values and tokens are dense id-indexed bitmaps (the PDG renumbered, so
-/// ids are dense) plus an unordered insertion list for enumeration — the
-/// emission loop membership-tests every instruction per partition, which a
-/// byte read wins over a pointer hash.
+/// Everything one partition needs from the rest of its function, indexed by
+/// the PDG's numbering: blocks by block id, values and tokens by producer
+/// instruction id, arguments by index. A channel entry is -1 when nothing
+/// crosses; computeNeeds marks a crossing with 0 and allocateChannels
+/// replaces the mark with the channel's id.
 struct PartitionNeeds {
-  std::unordered_set<BasicBlock*> blocks;
-  std::vector<uint8_t> valueIn;          // id -> consumed here?
-  std::vector<Instruction*> valueList;   // cross-edge producers consumed
-  std::vector<uint8_t> tokenIn;          // id -> token consumed here?
-  std::vector<Instruction*> tokenList;   // memory-dependence tokens consumed
-  std::unordered_set<Argument*> args;    // arguments consumed (slaves only)
+  std::vector<uint8_t> blocks;  // block id -> replicated here?
+  std::vector<int> valueCh;     // producer id -> data channel consumed here
+  std::vector<int> tokenCh;     // producer id -> memory-token channel consumed here
+  std::vector<int> argCh;       // argument index -> channel (slaves only)
+  int startCh = -1;             // slaves: dispatch start token
+  int doneCh = -1;              // slaves: completion token
 };
 
 class FunctionExtractor {
@@ -41,11 +40,6 @@ public:
         channels_(channels) {
     K_ = parts.numPartitions();
     exitBlock_ = findExitBlock();
-    // Flatten the assignment map once: owner() runs per instruction per
-    // partition across both phases, and ids are dense (the PDG renumbered).
-    ownerById_.assign(f.numValueSlots(), 0);
-    for (auto& bb : f.blocks())
-      for (auto& inst : *bb) ownerById_[inst->id()] = parts.assignment.at(inst);
   }
 
   struct Output {
@@ -64,7 +58,7 @@ public:
   }
 
 private:
-  unsigned owner(const Instruction* inst) const { return ownerById_[inst->id()]; }
+  unsigned owner(const Instruction* inst) const { return parts_.assignment[inst->id()]; }
 
   BasicBlock* findExitBlock() const {
     for (auto& bb : f_.blocks())
@@ -79,19 +73,23 @@ private:
     const size_t slots = f_.numValueSlots();
     for (unsigned p = 0; p < K_; ++p) {
       PartitionNeeds& n = needs_[p];
-      n.valueIn.assign(slots, 0);
-      n.tokenIn.assign(slots, 0);
+      n.blocks.assign(f_.numBlocks(), 0);
+      n.valueCh.assign(slots, -1);
+      n.tokenCh.assign(slots, -1);
+      n.argCh.assign(f_.numArgs(), -1);
       std::vector<BasicBlock*> work;
       auto includeBlock = [&](BasicBlock* bb) {
-        if (n.blocks.insert(bb).second) work.push_back(bb);
+        if (n.blocks[bb->id()]) return;
+        n.blocks[bb->id()] = 1;
+        work.push_back(bb);
       };
       auto needValue = [&](Instruction* u) {
-        if (owner(u) == p) return;
-        if (!n.valueIn[u->id()]) {
-          n.valueIn[u->id()] = 1;
-          n.valueList.push_back(u);
-          includeBlock(u->parent());
-        }
+        if (owner(u) == p || n.valueCh[u->id()] >= 0) return;
+        n.valueCh[u->id()] = 0;
+        includeBlock(u->parent());
+      };
+      auto needArg = [&](Argument* a) {
+        if (p != parts_.master) n.argCh[a->index()] = 0;
       };
 
       includeBlock(f_.entry());
@@ -105,9 +103,7 @@ private:
           for (unsigned i = 0; i < inst->numOperands(); ++i) {
             Value* op = inst->operand(i);
             if (auto* d = dyn_cast<Instruction>(op)) needValue(d);
-            else if (auto* a = dyn_cast<Argument>(op)) {
-              if (p != parts_.master) n.args.insert(a);
-            }
+            else if (auto* a = dyn_cast<Argument>(op)) needArg(a);
           }
         }
       }
@@ -116,12 +112,9 @@ private:
       for (const PDGEdge& e : pdg_.edges()) {
         if (e.kind != DepKind::Memory) continue;
         if (owner(e.to) != p || owner(e.from) == p) continue;
-        if (n.valueIn[e.from->id()]) continue;
-        if (!n.tokenIn[e.from->id()]) {
-          n.tokenIn[e.from->id()] = 1;
-          n.tokenList.push_back(e.from);
-          includeBlock(e.from->parent());
-        }
+        if (n.valueCh[e.from->id()] >= 0 || n.tokenCh[e.from->id()] >= 0) continue;
+        n.tokenCh[e.from->id()] = 0;
+        includeBlock(e.from->parent());
       }
       // Closure: control dependences of included blocks, and conditions of
       // replicated branches.
@@ -132,9 +125,7 @@ private:
         Instruction* term = bb->terminator();
         if (term && term->op() == Opcode::CondBr) {
           if (auto* c = dyn_cast<Instruction>(term->operand(0))) needValue(c);
-          else if (auto* a = dyn_cast<Argument>(term->operand(0))) {
-            if (p != parts_.master) n.args.insert(a);
-          }
+          else if (auto* a = dyn_cast<Argument>(term->operand(0))) needArg(a);
         }
         // Owned PHIs in a block included later still demand their preds.
         for (auto& inst : *bb) {
@@ -160,64 +151,42 @@ private:
     return t->bits();
   }
 
+  /// Ids follow (consumer partition, data by producer id, tokens by
+  /// producer id, arguments by index, start, done), so they are the same in
+  /// every run (traces label queues by id).
   void allocateChannels() {
-    // The needs sets hash on pointers, so their iteration order follows heap
-    // addresses — stable within a process, but not across --jobs interleavings.
-    // Channel ids must be reproducible (traces label queues by id), so
-    // allocate in instruction-id / argument-index order instead.
-    auto byInstId = [](const std::vector<Instruction*>& s) {
-      std::vector<Instruction*> v(s);
-      std::sort(v.begin(), v.end(),
-                [](const Instruction* a, const Instruction* b) { return a->id() < b->id(); });
-      return v;
-    };
+    const std::string fn = f_.name().str();
     for (unsigned p = 0; p < K_; ++p) {
-      for (Instruction* u : byInstId(needs_[p].valueList)) {
-        int ch = newChannel(valueBits(u), ChannelInfo::Purpose::Data,
-                            f_.name() + ":v" + std::to_string(u->id()) + "->" + std::to_string(p));
-        valueCh_[{u, p}] = ch;
-        producerPlan_[u].push_back({p, ch, /*token=*/false});
-      }
-      for (Instruction* u : byInstId(needs_[p].tokenList)) {
-        int ch = newChannel(1, ChannelInfo::Purpose::MemToken,
-                            f_.name() + ":m" + std::to_string(u->id()) + "->" + std::to_string(p));
-        tokenCh_[{u, p}] = ch;
-        producerPlan_[u].push_back({p, ch, /*token=*/true});
-      }
-      std::vector<Argument*> args(needs_[p].args.begin(), needs_[p].args.end());
-      std::sort(args.begin(), args.end(),
-                [](const Argument* a, const Argument* b) { return a->index() < b->index(); });
-      for (Argument* a : args)
-        argCh_[{a, p}] = newChannel(valueBits(a), ChannelInfo::Purpose::Arg,
-                                    f_.name() + ":arg" + std::to_string(a->index()) + "->" +
-                                        std::to_string(p));
+      PartitionNeeds& n = needs_[p];
+      const std::string to = "->" + std::to_string(p);
+      for (unsigned id = 0; id < n.valueCh.size(); ++id)
+        if (n.valueCh[id] >= 0)
+          n.valueCh[id] = newChannel(valueBits(pdg_.node(id)), ChannelInfo::Purpose::Data,
+                                     fn + ":v" + std::to_string(id) + to);
+      for (unsigned id = 0; id < n.tokenCh.size(); ++id)
+        if (n.tokenCh[id] >= 0)
+          n.tokenCh[id] =
+              newChannel(1, ChannelInfo::Purpose::MemToken, fn + ":m" + std::to_string(id) + to);
+      for (unsigned i = 0; i < n.argCh.size(); ++i)
+        if (n.argCh[i] >= 0)
+          n.argCh[i] = newChannel(valueBits(f_.arg(i)), ChannelInfo::Purpose::Arg,
+                                  fn + ":arg" + std::to_string(i) + to);
       if (p != parts_.master) {
-        startCh_[p] = newChannel(1, ChannelInfo::Purpose::Start,
-                                 f_.name() + ":start->" + std::to_string(p));
-        doneCh_[p] = newChannel(1, ChannelInfo::Purpose::Done,
-                                f_.name() + ":done<-" + std::to_string(p));
+        n.startCh = newChannel(1, ChannelInfo::Purpose::Start, fn + ":start" + to);
+        n.doneCh = newChannel(1, ChannelInfo::Purpose::Done, fn + ":done<-" + std::to_string(p));
       }
-    }
-    // Deterministic produce order per producer: by consumer partition, data
-    // before token.
-    for (auto& [u, plan] : producerPlan_) {
-      std::sort(plan.begin(), plan.end(), [](const ProduceTo& a, const ProduceTo& b) {
-        if (a.partition != b.partition) return a.partition < b.partition;
-        return a.token < b.token;
-      });
     }
   }
 
   // --- Phase 3: emission ------------------------------------------------------
-  BasicBlock* retarget(BasicBlock* s, unsigned p,
-                       const std::unordered_map<BasicBlock*, BasicBlock*>& blockMap) {
+  BasicBlock* retarget(BasicBlock* s, unsigned p, const std::vector<BasicBlock*>& blockMap) {
     const PartitionNeeds& n = needs_[p];
-    while (!n.blocks.count(s)) {
+    while (!n.blocks[s->id()]) {
       BasicBlock* next = pdg_.postDomTree().idom(s);
-      if (!next) return blockMap.at(exitBlock_);  // virtual root: fall to exit
+      if (!next) return blockMap[exitBlock_->id()];  // virtual root: fall to exit
       s = next;
     }
-    return blockMap.at(s);
+    return blockMap[s->id()];
   }
 
   Function* emitPartition(unsigned p, bool guarded, int semId) {
@@ -225,14 +194,12 @@ private:
     const bool isMaster = p == parts_.master;
     Function* np = m_.createFunction(f_.name() + "_dswp_" + std::to_string(p),
                                      isMaster ? f_.retType() : m_.types().voidTy());
-    // Original-value -> clone map, split by key kind: instructions go in a
-    // dense id-indexed vector (the fixup pass below queries it per operand),
-    // arguments in a small side map.
+    // Original-value -> clone maps: instructions by id, arguments by index.
     std::vector<Value*> instMap(f_.numValueSlots(), nullptr);
-    std::unordered_map<Value*, Value*> argMap;
+    std::vector<Value*> argMap(f_.numArgs(), nullptr);
     if (isMaster)
       for (unsigned i = 0; i < f_.numArgs(); ++i)
-        argMap[f_.arg(i)] = np->addArg(f_.arg(i)->type(), f_.arg(i)->name());
+        argMap[i] = np->addArg(f_.arg(i)->type(), f_.arg(i)->name());
 
     // Slave wrapper: dispatch loop around the body.
     IRBuilder b(m_);
@@ -247,27 +214,27 @@ private:
       b.br(dispatch);
     }
 
-    // Clone included blocks in original order.
-    std::unordered_map<BasicBlock*, BasicBlock*> blockMap;
+    // Clone included blocks in original order (block id -> clone).
+    std::vector<BasicBlock*> blockMap(f_.numBlocks(), nullptr);
     for (auto& bb : f_.blocks())
-      if (n.blocks.count(bb))
-        blockMap[bb] = np->createBlock(bb->name() + ".p" + std::to_string(p));
+      if (n.blocks[bb->id()])
+        blockMap[bb->id()] = np->createBlock(bb->name() + ".p" + std::to_string(p));
     if (!isMaster) finish = np->createBlock("finish");
 
     if (!isMaster) {
       b.setInsertPoint(dispatch);
-      b.consume(startCh_.at(p), m_.types().i1());
-      b.br(blockMap.at(f_.entry()));
+      b.consume(n.startCh, m_.types().i1());
+      b.br(blockMap[f_.entry()->id()]);
       b.setInsertPoint(finish);
-      b.produce(doneCh_.at(p), m_.i1Const(false));
+      b.produce(n.doneCh, m_.i1Const(false));
       b.br(dispatch);
     }
 
     // Emit blocks.
     for (auto& bbPtr : f_.blocks()) {
       BasicBlock* bb = bbPtr;
-      if (!n.blocks.count(bb)) continue;
-      BasicBlock* cb = blockMap.at(bb);
+      if (!n.blocks[bb->id()]) continue;
+      BasicBlock* cb = blockMap[bb->id()];
       b.setInsertPoint(cb);
 
       // Entry-block prologue.
@@ -275,29 +242,28 @@ private:
         if (isMaster) {
           if (guarded) b.semLower(semId, m_.i32Const(1));
           for (unsigned sp = 0; sp < K_; ++sp)
-            if (sp != parts_.master) b.produce(startCh_.at(sp), m_.i1Const(true));
+            if (sp != parts_.master) b.produce(needs_[sp].startCh, m_.i1Const(true));
           // Arguments, in (argIndex, partition) order for determinism.
           for (unsigned i = 0; i < f_.numArgs(); ++i) {
-            Argument* a = f_.arg(i);
             for (unsigned sp = 0; sp < K_; ++sp) {
-              auto it = argCh_.find({a, sp});
-              if (it == argCh_.end()) continue;
-              Value* v = argMap.at(a);
-              if (a->type()->isPtr()) v = b.castTo(Opcode::PtrToInt, v, m_.types().i32());
-              b.produce(it->second, v);
+              const int ch = needs_[sp].argCh[i];
+              if (ch < 0) continue;
+              Value* v = argMap[i];
+              if (v->type()->isPtr()) v = b.castTo(Opcode::PtrToInt, v, m_.types().i32());
+              b.produce(ch, v);
             }
           }
         } else {
           // Slave: consume the arguments it needs (arg definition site).
           for (unsigned i = 0; i < f_.numArgs(); ++i) {
-            Argument* a = f_.arg(i);
-            auto it = argCh_.find({a, p});
-            if (it == argCh_.end()) continue;
-            if (a->type()->isPtr()) {
-              Instruction* raw = b.consume(it->second, m_.types().i32());
-              argMap[a] = b.castTo(Opcode::IntToPtr, raw, a->type());
+            const int ch = n.argCh[i];
+            if (ch < 0) continue;
+            Type* t = f_.arg(i)->type();
+            if (t->isPtr()) {
+              Instruction* raw = b.consume(ch, m_.types().i32());
+              argMap[i] = b.castTo(Opcode::IntToPtr, raw, t);
             } else {
-              argMap[a] = b.consume(it->second, a->type());
+              argMap[i] = b.consume(ch, t);
             }
           }
         }
@@ -318,6 +284,7 @@ private:
       for (auto& instPtr : *bb) {
         Instruction* inst = instPtr;
         if (inst->isTerminator()) break;  // handled below
+        const unsigned id = inst->id();
         bool ownedPhi = inst->isPhi() && owner(inst) == p;
         if (!ownedPhi) {
           if (owner(inst) == p) {
@@ -332,35 +299,32 @@ private:
               clone->setChannel(inst->channel());
             if (inst->op() == Opcode::Call) clone->setCallee(inst->callee());
             clone->setName(inst->name());
-            instMap[inst->id()] = cb->append(clone);
+            instMap[id] = cb->append(clone);
             b.setInsertPoint(cb);
           } else {
-            if (n.valueIn[inst->id()]) {
+            if (n.valueCh[id] >= 0) {
               // Consume the producer's value at its replicated site.
               if (inst->type()->isPtr()) {
-                Instruction* raw = b.consume(valueCh_.at({inst, p}), m_.types().i32());
-                instMap[inst->id()] = b.castTo(Opcode::IntToPtr, raw, inst->type());
+                Instruction* raw = b.consume(n.valueCh[id], m_.types().i32());
+                instMap[id] = b.castTo(Opcode::IntToPtr, raw, inst->type());
               } else {
-                instMap[inst->id()] = b.consume(valueCh_.at({inst, p}), inst->type());
+                instMap[id] = b.consume(n.valueCh[id], inst->type());
               }
             }
-            if (n.tokenIn[inst->id()]) b.consume(tokenCh_.at({inst, p}), m_.types().i1());
+            if (n.tokenCh[id] >= 0) b.consume(n.tokenCh[id], m_.types().i1());
           }
         }
         // Producer side: emit produces right after the defining instruction
-        // (for owned PHIs: after the block's PHI group).
+        // (for owned PHIs: after the block's PHI group), in consumer-partition
+        // order, data before token.
         if (owner(inst) == p) {
-          auto plan = producerPlan_.find(inst);
-          if (plan != producerPlan_.end()) {
-            for (const ProduceTo& pt : plan->second) {
-              if (pt.token) {
-                b.produce(pt.channel, m_.i1Const(true));
-              } else {
-                Value* v = instMap[inst->id()];
-                if (inst->type()->isPtr()) v = b.castTo(Opcode::PtrToInt, v, m_.types().i32());
-                b.produce(pt.channel, v);
-              }
+          for (const PartitionNeeds& c : needs_) {
+            if (c.valueCh[id] >= 0) {
+              Value* v = instMap[id];
+              if (inst->type()->isPtr()) v = b.castTo(Opcode::PtrToInt, v, m_.types().i32());
+              b.produce(c.valueCh[id], v);
             }
+            if (c.tokenCh[id] >= 0) b.produce(c.tokenCh[id], m_.i1Const(true));
           }
         }
       }
@@ -372,7 +336,7 @@ private:
         case Opcode::Ret: {
           if (isMaster) {
             for (unsigned sp = 0; sp < K_; ++sp)
-              if (sp != parts_.master) b.consume(doneCh_.at(sp), m_.types().i1());
+              if (sp != parts_.master) b.consume(needs_[sp].doneCh, m_.types().i1());
             if (guarded) b.semRaise(semId, m_.i32Const(1));
             if (term->numOperands())
               b.ret(term->operand(0));  // fixed up later
@@ -401,8 +365,8 @@ private:
       }
     }
 
-    // Fixup pass: remap every operand and PHI incoming through
-    // instMap/argMap/blockMap.
+    // Fixup pass: remap every operand and PHI incoming of the original
+    // function through instMap/argMap/blockMap.
     for (auto& cbPtr : np->blocks()) {
       for (auto& inst : *cbPtr) {
         for (unsigned i = 0; i < inst->numOperands(); ++i) {
@@ -415,38 +379,21 @@ private:
               assert(mapped && "cross-partition operand without a consume");
               if (mapped) inst->setOperand(i, mapped);
             }
-          } else if (isa<Argument>(op)) {
-            auto vit = argMap.find(op);
-            if (vit != argMap.end()) inst->setOperand(i, vit->second);
+          } else if (auto* a = dyn_cast<Argument>(op)) {
+            if (a->parent() == &f_ && argMap[a->index()]) inst->setOperand(i, argMap[a->index()]);
           }
         }
         if (inst->isPhi()) {
           for (unsigned i = 0; i < inst->numIncoming(); ++i) {
-            auto bit = blockMap.find(inst->incomingBlock(i));
-            assert(bit != blockMap.end() && "phi predecessor not replicated");
-            inst->setIncomingBlock(i, bit->second);
+            BasicBlock* in = inst->incomingBlock(i);
+            assert(in->parent() == &f_ && blockMap[in->id()] && "phi predecessor not replicated");
+            inst->setIncomingBlock(i, blockMap[in->id()]);
           }
         }
       }
     }
     return np;
   }
-
-  struct ProduceTo {
-    unsigned partition;
-    int channel;
-    bool token;
-  };
-  struct PairHashI {
-    size_t operator()(const std::pair<const Instruction*, unsigned>& k) const {
-      return std::hash<const void*>()(k.first) * 31 + k.second;
-    }
-  };
-  struct PairHashA {
-    size_t operator()(const std::pair<const Argument*, unsigned>& k) const {
-      return std::hash<const void*>()(k.first) * 31 + k.second;
-    }
-  };
 
   Module& m_;
   Function& f_;
@@ -456,14 +403,7 @@ private:
   std::vector<ChannelInfo>& channels_;
   unsigned K_ = 1;
   BasicBlock* exitBlock_ = nullptr;
-  std::vector<unsigned> ownerById_;  // dense id -> partition (see ctor)
   std::vector<PartitionNeeds> needs_;
-  std::unordered_map<std::pair<const Instruction*, unsigned>, int, PairHashI> valueCh_;
-  std::unordered_map<std::pair<const Instruction*, unsigned>, int, PairHashI> tokenCh_;
-  std::unordered_map<std::pair<const Argument*, unsigned>, int, PairHashA> argCh_;
-  std::unordered_map<unsigned, int> startCh_;
-  std::unordered_map<unsigned, int> doneCh_;
-  std::unordered_map<Instruction*, std::vector<ProduceTo>> producerPlan_;
   unsigned queuesAllocated_ = 0;
 };
 

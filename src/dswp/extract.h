@@ -24,6 +24,15 @@
 //    consumes done tokens before returning (the pipeline flush of §6.6).
 //    Functions with more than one static call site are guarded by a
 //    semaphore (§5.2.1's overlap rule, conservative version).
+//
+// The extractor's tables (each partition's blocks, consumed values, tokens
+// and arguments with their channel ids, and the clone maps) are vectors on
+// the numbering PDG::build gives the function: block id, instruction id,
+// argument index. Walking them in index order allocates each function's
+// channels as one run of consecutive ids in (consumer partition, data by
+// producer id, tokens by producer id, arguments by index, start, done)
+// order, and a producer's produces follow it in consumer-partition order,
+// data before token, so channel ids are the same in every run.
 #pragma once
 
 #include <string>

@@ -26,43 +26,44 @@ PartitionResult partitionFunction(const PDG& pdg, const PartitionConfig& config,
   std::reverse(sccs.begin(), sccs.end());
   const size_t n = sccs.size();
 
-  // Weights per SCC: dynamic (trip-count-scaled, for pipeline balance) and
-  // static (per §5.2 the developer-facing split targets a percentage of the
-  // *instructions*, which Fig. 6.3/6.4 sweep).
-  std::vector<uint64_t> swW(n, 0), hwW(n, 0), staticW(n, 0), staticHwW(n, 0);
+  // Weights per SCC: dynamic software cycles (trip-count-scaled, for
+  // pipeline balance and the software budget) and static hardware weight
+  // (the area a partition saves by running in software).
+  std::vector<uint64_t> swW(n, 0), staticHwW(n, 0);
   uint64_t totalSW = 0;
-  uint64_t totalStatic = 0;
   const LoopInfo& loops = pdg.loopInfo();
   for (size_t i = 0; i < n; ++i) {
     for (Instruction* inst : sccs[i]) {
-      uint64_t trips = tripFactor(loops, inst->parent());
-      swW[i] += trips * swCycles(*inst);
-      hwW[i] += trips * hwWeight(*inst);
-      staticW[i] += swCycles(*inst);
+      swW[i] += tripFactor(loops, inst->parent()) * swCycles(*inst);
       staticHwW[i] += hwWeight(*inst);
     }
     totalSW += swW[i];
-    totalStatic += staticW[i];
   }
 
-  // SCC dependencies over the condensation (for the available-list rule).
-  // Instruction ids are dense (the PDG renumbered), so a flat vector beats
-  // a hash map for the per-edge lookups below.
+  // SCC dependencies over the condensation (for the available-list rule),
+  // each SCC's successors in the order their first edge appears. Every
+  // cross edge lands in its source SCC's list; a stamp per target SCC then
+  // drops the repeats, so the whole pass is linear in the edges.
   std::vector<size_t> sccOf(pdg.numNodes(), 0);
   for (size_t i = 0; i < n; ++i)
     for (Instruction* inst : sccs[i]) sccOf[inst->id()] = i;
-  std::vector<unsigned> unmetPreds(n, 0);
   std::vector<std::vector<size_t>> sccSuccs(n);
-  {
-    std::vector<std::unordered_map<size_t, bool>> seen(n);
-    for (const PDGEdge& e : pdg.edges()) {
-      size_t a = sccOf[e.from->id()];
-      size_t b = sccOf[e.to->id()];
-      if (a == b) continue;
-      if (!seen[a].emplace(b, true).second) continue;
-      sccSuccs[a].push_back(b);
+  for (const PDGEdge& e : pdg.edges()) {
+    const size_t a = sccOf[e.from->id()], b = sccOf[e.to->id()];
+    if (a != b) sccSuccs[a].push_back(b);
+  }
+  std::vector<unsigned> unmetPreds(n, 0);
+  std::vector<size_t> stamp(n, n);  // last SCC that listed this one as a successor
+  for (size_t a = 0; a < n; ++a) {
+    std::vector<size_t>& succs = sccSuccs[a];
+    size_t kept = 0;
+    for (size_t b : succs) {
+      if (stamp[b] == a) continue;
+      stamp[b] = a;
+      succs[kept++] = b;
       ++unmetPreds[b];
     }
+    succs.resize(kept);
   }
 
   // Greedy fill: per-partition target weight, smallest-available-first.
@@ -82,7 +83,6 @@ PartitionResult partitionFunction(const PDG& pdg, const PartitionConfig& config,
   const uint64_t globalCap = K > 1 ? totalSW - masterShare : totalSW + 1;
   uint64_t totalFilled = 0;
   out.swWeights.assign(K, 0);
-  out.hwWeights.assign(K, 0);
   size_t assigned = 0;
   for (unsigned p = 0; p < K && assigned < n; ++p) {
     uint64_t filled = 0;
@@ -108,7 +108,6 @@ PartitionResult partitionFunction(const PDG& pdg, const PartitionConfig& config,
       filled += swW[scc];
       totalFilled += swW[scc];
       out.swWeights[p] += swW[scc];
-      out.hwWeights[p] += hwW[scc];
       ++assigned;
       for (size_t s : sccSuccs[scc])
         if (--unmetPreds[s] == 0) available.push_back(s);
@@ -125,15 +124,14 @@ PartitionResult partitionFunction(const PDG& pdg, const PartitionConfig& config,
   for (size_t i = 0; i < n; ++i)
     actualK = std::max(actualK, static_cast<unsigned>(sccPartition[i]) + 1);
   out.swWeights.resize(actualK);
-  out.hwWeights.resize(actualK);
-  std::vector<uint64_t> partStatic(actualK, 0), partStaticHw(actualK, 0);
+  std::vector<uint64_t> partStaticHw(actualK, 0);
   std::vector<unsigned> partMaxDepth(actualK, 0);
+  out.assignment.assign(pdg.numNodes(), 0);
   for (size_t i = 0; i < n; ++i) {
     unsigned p = static_cast<unsigned>(sccPartition[i]);
-    partStatic[p] += staticW[i];
     partStaticHw[p] += staticHwW[i];
     for (Instruction* inst : sccs[i]) {
-      out.assignment[inst] = p;
+      out.assignment[inst->id()] = p;
       partMaxDepth[p] = std::max(partMaxDepth[p], loops.depth(inst->parent()));
     }
   }
@@ -151,7 +149,6 @@ PartitionResult partitionFunction(const PDG& pdg, const PartitionConfig& config,
   // (trip-scaled) weight so a statically-small but dynamically-hot
   // partition cannot sneak onto the processor. The master of a
   // forceMasterSW function is always software (§5.3).
-  (void)totalStatic;
   out.isHW.assign(actualK, true);
   const uint64_t swBudget =
       static_cast<uint64_t>(static_cast<double>(totalSW) * config.swFraction);

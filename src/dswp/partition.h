@@ -12,9 +12,12 @@
 // chosen by comparing the software and hardware weights of the SCCs
 // available when the partition is started, steered by the developer-provided
 // software fraction.
+//
+// The result is indexed by the PDG's numbering: `assignment` is a vector by
+// instruction id, so it is valid only while the function keeps the ids
+// PDG::build gave it.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "src/analysis/pdg.h"
@@ -37,15 +40,15 @@ struct PartitionConfig {
 };
 
 struct PartitionResult {
-  /// partition index per instruction (dense id -> partition).
-  std::unordered_map<const Instruction*, unsigned> assignment;
+  /// Partition of each instruction, by instruction id (PDG::numNodes()
+  /// entries; the argument slots [0, numArgs) read 0 and mean nothing).
+  std::vector<unsigned> assignment;
   /// Domain per partition: true = hardware.
   std::vector<bool> isHW;
   /// Master partition: the one holding the function's `ret` (pipeline tail).
   unsigned master = 0;
-  /// Per-partition software-cycle weights (diagnostics / benches).
+  /// Per-partition dynamic software-cycle weights (diagnostics / tests).
   std::vector<uint64_t> swWeights;
-  std::vector<uint64_t> hwWeights;
   unsigned numPartitions() const { return static_cast<unsigned>(isHW.size()); }
 };
 

@@ -732,25 +732,11 @@ Lowerer::RV Lowerer::lowerAssign(const Expr& e) {
         return {m_.i32Const(0), CType::intTy(32, true)};
       }
     } else {
+      // The operation of `x op= y` is that of `x op y` on the promoted
+      // operands; the parser builds only arithmetic compound operators.
       r = promote(r);
-      bool isUnsigned = !old.t.isSigned || !r.t.isSigned;
-      Opcode op;
-      switch (e.binOp) {
-        case BinOp::Add: op = Opcode::Add; break;
-        case BinOp::Sub: op = Opcode::Sub; break;
-        case BinOp::Mul: op = Opcode::Mul; break;
-        case BinOp::Div: op = isUnsigned || !lv.t.isSigned ? Opcode::UDiv : Opcode::SDiv; break;
-        case BinOp::Rem: op = isUnsigned || !lv.t.isSigned ? Opcode::URem : Opcode::SRem; break;
-        case BinOp::And: op = Opcode::And; break;
-        case BinOp::Or: op = Opcode::Or; break;
-        case BinOp::Xor: op = Opcode::Xor; break;
-        case BinOp::Shl: op = Opcode::Shl; break;
-        case BinOp::Shr: op = lv.t.isSigned ? Opcode::AShr : Opcode::LShr; break;
-        default:
-          error(e.loc, "unsupported compound assignment");
-          return {m_.i32Const(0), CType::intTy(32, true)};
-      }
-      rhs = {b_.binary(op, old.v, r.v), CType::intTy(32, !isUnsigned)};
+      const IntBinaryOp bin = intBinaryOp(e.binOp, old.t.isSigned, r.t.isSigned);
+      rhs = {b_.binary(bin.op, old.v, r.v), CType::intTy(32, bin.isSigned)};
     }
   } else {
     rhs = lowerExpr(*e.b);

@@ -59,6 +59,7 @@ FunctionSchedule scheduleFunction(Function& f, const HlsConstraints& c) {
   // absent without clearing between blocks.
   std::vector<std::pair<unsigned, unsigned>> ready(f.numValueSlots());
   std::vector<const BasicBlock*> readyIn(f.numValueSlots(), nullptr);
+  out.stateOf.assign(f.numValueSlots(), 0);
 
   for (auto& bbPtr : f.blocks()) {
     BasicBlock* bb = bbPtr;
@@ -82,7 +83,6 @@ FunctionSchedule scheduleFunction(Function& f, const HlsConstraints& c) {
         // PHIs resolve on state 0 entry (register muxes).
         ready[inst->id()] = {0, 0};
         readyIn[inst->id()] = bb;
-        bs.stateOf[inst] = 0;
         continue;
       }
       // Earliest state from operand availability.
@@ -127,7 +127,7 @@ FunctionSchedule scheduleFunction(Function& f, const HlsConstraints& c) {
       if (isDivOp(op)) ++u.divs;
       ++u.fuUse[op];
 
-      bs.stateOf[inst] = start;
+      out.stateOf[inst->id()] = start;
       readyIn[inst->id()] = bb;
       unsigned lat = hwLatency(*inst);
       if (usesMemPort(op) || usesQueuePort(op)) {

@@ -39,8 +39,6 @@ struct BlockSchedule {
   /// The executor charges `pipelinedII` instead of `staticCycles` when the
   /// block re-executes back-to-back (loop steady state).
   unsigned pipelinedII = 1;
-  /// Instruction -> state index (diagnostics / tests).
-  std::unordered_map<const Instruction*, unsigned> stateOf;
 };
 
 struct AreaEstimate {
@@ -65,6 +63,10 @@ struct FunctionSchedule {
   std::string fnName;
   size_t instCount = 0;
   std::unordered_map<const BasicBlock*, BlockSchedule> blocks;
+  /// FSM state of each instruction within its block (diagnostics / tests),
+  /// indexed by the instruction ids scheduleFunction assigns when it
+  /// renumbers the function (the argument slots read 0).
+  std::vector<unsigned> stateOf;
   unsigned totalStates = 0;
   AreaEstimate area;
 

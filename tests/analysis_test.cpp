@@ -403,6 +403,49 @@ TEST_F(AnalysisFixture, PDGLoopBodyControlDependsOnLoopBranch) {
   EXPECT_TRUE(self);
 }
 
+TEST_F(AnalysisFixture, PDGControlDepsOfAnotherFunctionsBlockAreEmpty) {
+  // Both functions are renumbered from 0, so each block of `other` shares
+  // its id with a block of main, and some of those have dependences.
+  Function* f = compile(
+      "int other(int n) { int s = 0; while (n > 0) { if (n & 1) s += n; n--; } return s; }"
+      "int main() { int s = 0; for (int i = 0; i < 10; i++) if (i & 1) s += i; return s; }");
+  Function* g = m.findFunction("other");
+  ASSERT_NE(g, nullptr);
+  g->renumber();
+  PDG pdg;
+  pdg.build(*f);
+  std::vector<BasicBlock*> mainById(f->numBlocks());
+  for (auto& bb : f->blocks()) mainById[bb->id()] = bb;
+  unsigned collisionsWithDeps = 0;
+  for (auto& bb : g->blocks()) {
+    ASSERT_LT(bb->id(), mainById.size());
+    if (!pdg.controlDepsOf(mainById[bb->id()]).empty()) ++collisionsWithDeps;
+    EXPECT_TRUE(pdg.controlDepsOf(bb).empty()) << bb->name();
+  }
+  EXPECT_GT(collisionsWithDeps, 0u);
+}
+
+TEST_F(AnalysisFixture, PDGNodesAreTheInstructionsInBlockOrder) {
+  Function* f = compile(
+      "int g;"
+      "int work(int a, int b) { int s = a; if (b > 0) { s += b; g = s; } return s * 2; }"
+      "int main() { return work(1, 2); }",
+      "work");
+  PDG pdg;
+  pdg.build(*f);
+  std::vector<Instruction*> inBlockOrder;
+  for (auto& bb : f->blocks())
+    for (auto& inst : *bb) inBlockOrder.push_back(inst);
+  ASSERT_EQ(pdg.nodes().size(), inBlockOrder.size());
+  for (size_t i = 0; i < inBlockOrder.size(); ++i) {
+    EXPECT_EQ(pdg.nodes()[i], inBlockOrder[i]) << i;
+    EXPECT_EQ(pdg.node(inBlockOrder[i]->id()), inBlockOrder[i]) << i;
+  }
+  // The argument slots hold no node.
+  EXPECT_EQ(pdg.numNodes(), f->numValueSlots());
+  for (unsigned a = 0; a < f->numArgs(); ++a) EXPECT_EQ(pdg.node(a), nullptr);
+}
+
 TEST_F(AnalysisFixture, PDGMemoryEdgesSameArray) {
   Function* f = compile(
       "int a[4];"

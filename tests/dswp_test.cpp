@@ -6,8 +6,13 @@
 // original single-threaded program.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <tuple>
+
+#include "src/chstone/kernels.h"
 #include "src/dswp/extract.h"
 #include "src/frontend/lower.h"
+#include "src/fuzz/progen.h"
 #include "src/ir/interp.h"
 #include "src/ir/printer.h"
 #include "src/ir/verifier.h"
@@ -68,8 +73,8 @@ TEST(PartitionTest, SCCsNeverSplit) {
   PartitionResult parts = partitionFunction(pdg, pc);
   auto sccs = computeSCCs(pdg);
   for (const auto& scc : sccs) {
-    unsigned p = parts.assignment.at(scc[0]);
-    for (Instruction* i : scc) EXPECT_EQ(parts.assignment.at(i), p);
+    unsigned p = parts.assignment[scc[0]->id()];
+    for (Instruction* i : scc) EXPECT_EQ(parts.assignment[i->id()], p);
   }
 }
 
@@ -87,7 +92,7 @@ TEST(PartitionTest, CrossEdgesFlowForward) {
   pc.numPartitions = 3;
   PartitionResult parts = partitionFunction(pdg, pc);
   for (const PDGEdge& e : pdg.edges())
-    EXPECT_LE(parts.assignment.at(e.from), parts.assignment.at(e.to))
+    EXPECT_LE(parts.assignment[e.from->id()], parts.assignment[e.to->id()])
         << printInstruction(e.from) << " -> " << printInstruction(e.to);
 }
 
@@ -104,7 +109,7 @@ TEST(PartitionTest, MasterHoldsRet) {
   for (auto& bb : f->blocks())
     if (bb->terminator()->op() == Opcode::Ret) ret = bb->terminator();
   ASSERT_NE(ret, nullptr);
-  EXPECT_EQ(parts.assignment.at(ret), parts.master);
+  EXPECT_EQ(parts.assignment[ret->id()], parts.master);
 }
 
 TEST(PartitionTest, ForceMasterSWRespected) {
@@ -340,6 +345,142 @@ TEST(DswpFunctionTest, AutoPartitioningProducesThreads) {
   EXPECT_GE(r.threads.size(), 2u);
   EXPECT_EQ(runPipeline(*pr.m, r), pr.reference);
 }
+
+// --- Channel tables on the PDG's numbering -----------------------------------
+//
+// Channel ids must be the same in every run (traces and reports label queues
+// by id). The extractor gets that by walking its id-indexed tables in order;
+// these tests pin the order that walk yields.
+
+// A channel note parsed: "f:v<id>->p", "f:m<id>->p", "f:arg<i>->p",
+// "f:start->p" or "f:done<-p".
+struct ChannelNote {
+  enum Kind { Data, Token, Arg, Start, Done };
+  std::string fn;
+  unsigned partition = 0;
+  Kind kind = Data;
+  unsigned index = 0;  // producer instruction id or argument index
+  auto order() const { return std::make_tuple(partition, kind, index); }
+};
+
+ChannelNote parseNote(const std::string& note) {
+  ChannelNote n;
+  const size_t colon = note.find(':');
+  EXPECT_NE(colon, std::string::npos) << note;
+  n.fn = note.substr(0, colon);
+  const std::string rest = note.substr(colon + 1);
+  const size_t arrow = rest.find_first_of("-<");
+  const std::string head = rest.substr(0, arrow);
+  n.partition = static_cast<unsigned>(std::stoul(rest.substr(arrow + 2)));
+  if (head == "start") {
+    n.kind = ChannelNote::Start;
+  } else if (head == "done") {
+    n.kind = ChannelNote::Done;
+  } else if (head.rfind("arg", 0) == 0) {
+    n.kind = ChannelNote::Arg;
+    n.index = static_cast<unsigned>(std::stoul(head.substr(3)));
+  } else {
+    EXPECT_TRUE(head[0] == 'v' || head[0] == 'm') << note;
+    n.kind = head[0] == 'v' ? ChannelNote::Data : ChannelNote::Token;
+    n.index = static_cast<unsigned>(std::stoul(head.substr(1)));
+  }
+  return n;
+}
+
+std::string channelTable(const DswpResult& r) {
+  std::string out;
+  for (const ChannelInfo& c : r.channels)
+    out += std::to_string(c.id) + " " + std::to_string(c.bits) + " " +
+           std::to_string(static_cast<int>(c.purpose)) + " " + c.note + "\n";
+  return out;
+}
+
+// Each function's channels are one run of consecutive ids, in (partition,
+// data by producer id, tokens by producer id, arguments by index, start,
+// done) order.
+void expectChannelOrder(const DswpResult& r) {
+  std::set<std::string> finished;
+  std::string fn;
+  ChannelNote prev;
+  for (size_t i = 0; i < r.channels.size(); ++i) {
+    const ChannelInfo& c = r.channels[i];
+    ASSERT_EQ(c.id, static_cast<int>(i)) << c.note;
+    const ChannelNote n = parseNote(c.note);
+    if (n.fn != fn) {
+      if (!fn.empty()) finished.insert(fn);
+      EXPECT_FALSE(finished.count(n.fn)) << n.fn << "'s channels are split: " << c.note;
+      fn = n.fn;
+    } else {
+      EXPECT_LT(prev.order(), n.order()) << "channel " << c.id << " (" << c.note << ")";
+    }
+    prev = n;
+  }
+}
+
+// A producer's produces sit together (only the PtrToInt of a pointer value
+// comes between them), one per consumer partition in partition order, data
+// before token.
+void expectProduceOrder(Module& m, const DswpResult& r) {
+  std::set<std::pair<std::string, unsigned>> seen;  // (function, producer id)
+  for (auto& f : m.functions()) {
+    for (auto& bb : f->blocks()) {
+      const ChannelNote* last = nullptr;
+      ChannelNote cur;
+      for (auto& inst : *bb) {
+        if (inst->op() == Opcode::PtrToInt) continue;
+        const bool produce = inst->op() == Opcode::Produce;
+        const ChannelNote n = produce ? parseNote(r.channels[inst->channel()].note) : ChannelNote{};
+        if (!produce || n.kind > ChannelNote::Token) {
+          last = nullptr;
+          continue;
+        }
+        if (last && last->fn == n.fn && last->index == n.index) {
+          EXPECT_LT(last->order(), n.order()) << f->name() << " " << bb->name();
+        } else {
+          EXPECT_TRUE(seen.insert({n.fn, n.index}).second)
+              << "produces of " << n.fn << ":" << n.index << " are split; " << f->name();
+        }
+        cur = n;
+        last = &cur;
+      }
+    }
+  }
+}
+
+// Over the 8 kernels and progen seeds 1-200, at K = the parameter. Each
+// source is extracted twice in one process: the channel tables and the
+// extracted modules must be identical.
+class DswpChannelOrder : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(DswpChannelOrder, TablesFollowThePdgNumbering) {
+  std::vector<std::pair<std::string, std::string>> programs;
+  for (const KernelInfo& k : chstoneKernels()) programs.push_back({k.name, k.source});
+  for (uint64_t seed = 1; seed <= 200; ++seed)
+    programs.push_back({"progen " + std::to_string(seed), generateProgram(seed)});
+  DswpConfig cfg;
+  cfg.numPartitions = GetParam();
+  for (const auto& [name, src] : programs) {
+    SCOPED_TRACE(name);
+    std::string text[2], table[2];
+    for (int run = 0; run < 2; ++run) {
+      Module m;
+      DiagEngine diag;
+      ASSERT_TRUE(compileC(src, m, diag)) << diag.str();
+      runDefaultPipeline(m);
+      DswpResult r = runDswp(m, cfg);
+      if (run == 0) {
+        expectChannelOrder(r);
+        expectProduceOrder(m, r);
+      }
+      text[run] = printModule(m);
+      table[run] = channelTable(r);
+    }
+    EXPECT_EQ(table[0], table[1]);
+    EXPECT_EQ(text[0], text[1]);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Partitions, DswpChannelOrder, ::testing::Values(0u, 2u, 4u));
 
 }  // namespace
 }  // namespace twill

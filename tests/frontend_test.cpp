@@ -401,6 +401,32 @@ TEST(FrontendTest, ConstantExpressionsFoldLikeRunTime) {
   }
 }
 
+TEST(FrontendTest, CompoundAssignmentMatchesItsOperator) {
+  // `x op= y` is `x = x op y` with x evaluated once (C11 6.5.16.2p3), so
+  // its operation comes from the promoted operands, not from x's type:
+  // `unsigned char c = 200; c /= -1;` divides signed ints and leaves 56.
+  // One program counts the cases where the two forms disagree.
+  std::string body;
+  unsigned cases = 0;
+  for (const char* t :
+       {"signed char", "unsigned char", "short", "unsigned short", "int", "unsigned"}) {
+    for (const char* op : {"+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>"}) {
+      for (int l : {200, -7, 100}) {
+        for (int r : {3, -1, -2, 1}) {
+          const bool shift = op[0] == '<' || op[0] == '>';
+          if (shift && r < 0) continue;  // a negative shift count is undefined
+          const std::string T = t, L = std::to_string(l), R = std::to_string(r);
+          body += "{ " + T + " a = " + L + "; " + T + " b = a; a " + op + "= " + R + "; b = b " +
+                  op + " " + R + "; if (a != b) n++; }\n";
+          ++cases;
+        }
+      }
+    }
+  }
+  ASSERT_EQ(cases, 648u);
+  EXPECT_EQ(runC("int main() { int n = 0;\n" + body + "return n; }"), 0u);
+}
+
 TEST(FrontendTest, SwitchDeclarationBeforeFirstLabel) {
   // C11 6.8.4.2p7: a declaration ahead of the first label is in scope for
   // the whole body, and nothing ahead of the first label runs.

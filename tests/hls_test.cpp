@@ -29,18 +29,15 @@ TEST_F(HlsFixture, DependencesRespectStateOrder) {
       "int main() { int s = 0; for (int i = 0; i < 10; i++) s += (i * 3) ^ (i >> 1);"
       "return s; }");
   FunctionSchedule sched = scheduleFunction(*f);
+  ASSERT_EQ(sched.stateOf.size(), f->numValueSlots());
   for (auto& bb : f->blocks()) {
-    const BlockSchedule& bs = sched.blocks.at(bb);
     for (auto& inst : *bb) {
       if (inst->isPhi() || inst->isTerminator()) continue;
-      auto it = bs.stateOf.find(inst);
-      ASSERT_NE(it, bs.stateOf.end());
       for (unsigned i = 0; i < inst->numOperands(); ++i) {
         auto* d = dyn_cast<Instruction>(inst->operand(i));
         if (!d || d->parent() != bb || d->isPhi()) continue;
-        auto dit = bs.stateOf.find(d);
-        if (dit == bs.stateOf.end()) continue;
-        EXPECT_LE(dit->second, it->second) << "operand scheduled after its user";
+        EXPECT_LE(sched.stateOf[d->id()], sched.stateOf[inst->id()])
+            << "operand scheduled after its user";
       }
     }
   }
@@ -56,11 +53,10 @@ TEST_F(HlsFixture, MemoryPortConstraint) {
   c.memPortsPerState = 1;
   FunctionSchedule sched = scheduleFunction(*f, c);
   for (auto& bb : f->blocks()) {
-    const BlockSchedule& bs = sched.blocks.at(bb);
     std::unordered_map<unsigned, unsigned> memPerState;
     for (auto& inst : *bb) {
       if (inst->op() != Opcode::Load && inst->op() != Opcode::Store) continue;
-      memPerState[bs.stateOf.at(inst)]++;
+      memPerState[sched.stateOf[inst->id()]]++;
     }
     for (auto& [state, cnt] : memPerState) EXPECT_LE(cnt, 1u);
   }

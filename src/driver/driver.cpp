@@ -102,6 +102,16 @@ AreaEstimate runtimeArea(const DswpResult& dswp, unsigned hwThreadCount) {
   return a;
 }
 
+/// Schedules every function of `m` into `out` under the `schedule` span.
+/// Returns false (error/kind filled) when the report's schedule time
+/// breaches the stage budget.
+bool scheduleStage(Module& m, const DriverOptions& opts, BenchmarkReport& rep, ScheduleMap& out) {
+  StageSpan span("schedule");
+  out = scheduleModule(m, opts.hls);
+  rep.stages.scheduleMs += span.closeMs();
+  return !stageBreach(opts.limits, "schedule", rep.stages.scheduleMs, rep.error, rep.failureKind);
+}
+
 /// Simulators observe the resource ceilings through their config (see the
 /// DriverOptions::limits doc).
 SimConfig limitedSimConfig(SimConfig sim, const ResourceLimits& limits) {
@@ -164,15 +174,9 @@ BenchmarkReport runBenchmark(const std::string& name, const std::string& source,
       return rep;
     }
   }
-  ScheduleMap baseSchedules;
-  if (!verifyOnly) {
-    StageSpan schedSpan("schedule");
-    baseSchedules = scheduleModule(*base, opts.hls);
-    rep.stages.scheduleMs += schedSpan.closeMs();
-    if (stageBreach(opts.limits, "schedule", rep.stages.scheduleMs, rep.error, rep.failureKind))
-      return rep;
-  }
   if (rep.ranHW) {
+    ScheduleMap baseSchedules;
+    if (!scheduleStage(*base, opts, rep, baseSchedules)) return rep;
     rep.hw = simulatePureHW(*base, baseSchedules, sim);
     if (!rep.hw.ok) {
       rep.error = "pure-HW simulation failed: " + rep.hw.message;
@@ -249,13 +253,8 @@ BenchmarkReport runBenchmark(const std::string& name, const std::string& source,
     return rep;
   }
 
-  // Schedule cache: the baseline module was already scheduled above, and
-  // DSWP only adds master/slave functions and redirects call sites in the
-  // survivors — their schedules are reused the way SimProgram shares
-  // decodes, so each function is scheduled once per report, not per flow.
-  StageSpan schedSpan("schedule");
-  ScheduleMap twillSchedules = scheduleModule(*tm, opts.hls, baseSchedules);
-  rep.stages.scheduleMs += schedSpan.closeMs();
+  ScheduleMap twillSchedules;
+  if (!scheduleStage(*tm, opts, rep, twillSchedules)) return rep;
   rep.twill = simulateTwill(*tm, dswp, sim, twillSchedules);
   if (!acceptTwillOutcome(rep)) return rep;
 

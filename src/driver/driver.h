@@ -93,7 +93,8 @@ struct FlowAreas {
 /// come from the frontend, passes is runDefaultPipeline, ir_verify is both
 /// verifyModule calls (after the passes and after extraction), pdg is the
 /// PDG construction inside runDswp, dswp is the rest of extraction, verify
-/// is verifyPartition, schedule is both scheduleModule calls — the eight
+/// is verifyPartition, schedule is scheduleModule on the baseline module
+/// (pure-HW flow only) and on the extracted module (Twill flow) — the eight
 /// are disjoint, so they sum to the report's compile-side cost (simulation
 /// excluded).
 struct StageTimes {

@@ -1,5 +1,7 @@
 #include "src/exec/decoded.h"
 
+#include <cassert>
+
 #include "src/exec/superblock.h"
 #include "src/ir/eval.h"
 #include "src/ir/printer.h"
@@ -38,11 +40,14 @@ void DecodedProgram::decode(Function* f, DecodedFunction& df) {
   df.fn = f;
   df.numSlots = f->numValueSlots();
 
+  // A schedule is indexed by the block ids scheduleFunction's renumbering
+  // gave this unchanged function, which the renumber() above reproduces.
   const FunctionSchedule* sched = nullptr;
   if (schedules_) {
     auto sit = schedules_->find(f);
     if (sit != schedules_->end()) sched = &sit->second;
   }
+  assert(!sched || sched->blocks.size() == f->numBlocks());
   const uint32_t blockUidBase = nextBlockUid_;
   nextBlockUid_ += static_cast<uint32_t>(f->numBlocks());
 
@@ -161,8 +166,9 @@ void DecodedProgram::decode(Function* f, DecodedFunction& df) {
       }
       if (inst->isTerminator() && sched) {
         d.flags |= DecodedInst::kHasSchedule;
-        d.hlsStatic = sched->staticCyclesFor(bb);
-        d.hlsII = sched->pipelinedIIFor(bb);
+        const BlockSchedule& bs = sched->blocks[bb->id()];
+        d.hlsStatic = bs.staticCycles;
+        d.hlsII = bs.pipelinedII;
       }
 
       if (isBinaryOp(op) || isCompareOp(op)) {

@@ -9,8 +9,9 @@
 // operand slot indices or inline constant immediates, pre-folded
 // global/alloca addresses, pre-resolved branch-target pcs with phi copy
 // lists, and the pre-computed Microblaze cycle cost and HLS per-block FSM
-// cycles. Execution then reads packed records with zero hash lookups and
-// zero kind branching.
+// cycles (copied onto each terminator from its function's schedule, which
+// is indexed by block id). Execution then reads packed records with zero
+// hash lookups and zero kind branching.
 //
 // ExecState here is the production engine behind the step() interface every
 // caller already uses; all four execution engines (golden Interp,
@@ -83,8 +84,7 @@ struct SuperOp {
     kCall,        // call: push a frame, trace continues in the callee
     kSlow,        // channel op or poisoned record: per-inst step() only
   };
-  static_assert(kJump > static_cast<uint8_t>(Opcode::SemLower),
-                "dispatch codes must not collide with Opcode ordinals");
+  static_assert(kJump >= kNumOpcodes, "dispatch codes must not collide with Opcode ordinals");
 
   Opcode op = Opcode::Add;
   uint8_t kind = kSlow;
@@ -163,8 +163,9 @@ struct DecodedFunction {
 /// Decode cache for one module snapshot. Functions are decoded on first use
 /// (call instructions resolve their callee's DecodedFunction eagerly, so the
 /// execution hot loop never consults this cache). When `schedules` is given,
-/// each terminator carries its block's static FSM cycles and pipelined
-/// initiation interval for the HLS executors.
+/// each terminator of a function in the map carries its block's static FSM
+/// cycles and pipelined initiation interval for the HLS executors, read by
+/// block id (the schedule must come from the same, unchanged function).
 class DecodedProgram {
 public:
   DecodedProgram(Module& m, const Layout& layout, const ScheduleMap* schedules = nullptr)

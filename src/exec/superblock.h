@@ -61,22 +61,8 @@ struct FunctionalSuperModel {
   void endFinish(const DecodedInst&) { --budget; }
 };
 
-// Direct-threaded dispatch needs the GNU computed-goto extension (gcc and
-// clang both provide it; CI builds both). Define TWILL_SUPER_NO_THREADED to
-// get the portable switch dispatcher — it shares every handler body with
-// the threaded path through the TWILL_SUPER_LABEL_* macros below, so the
-// two cannot drift apart.
-#if defined(__GNUC__) && !defined(TWILL_SUPER_NO_THREADED)
-#define TWILL_SUPER_THREADED 1
-#else
-#define TWILL_SUPER_THREADED 0
-#endif
-
-/// Which dispatcher this build compiled in (surfaced on twilld's
-/// /v1/healthz so a probe can tell the portable fallback from the fast
-/// path without inspecting compiler flags).
-inline const char* superDispatchKind() { return TWILL_SUPER_THREADED ? "threaded" : "portable"; }
-
+// Direct-threaded dispatch uses the GNU computed-goto extension, which gcc
+// and clang (Apple's included) provide.
 template <class Model>
 SuperRunStatus ExecState::runSuper(Model& model) {
   if (frames_.empty()) return trapped_ ? SuperRunStatus::kTrapped : SuperRunStatus::kFinished;
@@ -121,11 +107,6 @@ SuperRunStatus ExecState::runSuper(Model& model) {
     TWILL_SUPER_STOP(kBudget);  \
   }
 
-#if TWILL_SUPER_THREADED
-
-#define TWILL_SUPER_LABEL_OP(x) lbl_op_##x:
-#define TWILL_SUPER_LABEL_KIND(x) lbl_kind_##x:
-#define TWILL_SUPER_LABEL_DEFAULT
 #define TWILL_SUPER_NEXT() goto* kTbl[sops[pc].kind]
 
   // Label table indexed by SuperOp::kind: Opcode ordinals first (keep in
@@ -161,24 +142,12 @@ SuperRunStatus ExecState::runSuper(Model& model) {
                 "kTbl needs one label per dispatch code, in SuperOp::Kind order");
   TWILL_SUPER_NEXT();
 
-#else  // !TWILL_SUPER_THREADED
-
-#define TWILL_SUPER_LABEL_OP(x) case static_cast<uint8_t>(Opcode::x):
-#define TWILL_SUPER_LABEL_KIND(x) case SuperOp::x:
-#define TWILL_SUPER_LABEL_DEFAULT default:
-#define TWILL_SUPER_NEXT() continue
-
-  for (;;) {
-    switch (sops[pc].kind) {
-
-#endif  // TWILL_SUPER_THREADED
-
-      // --- Straight-line handlers ------------------------------------------
-      // Every op here provably has a result except Store, so the write-back
-      // is unconditional.
+  // --- Straight-line handlers -----------------------------------------------
+  // Every op here provably has a result except Store, so the write-back is
+  // unconditional.
 
 #define TWILL_SUPER_BIN(OP)                                                               \
-  TWILL_SUPER_LABEL_OP(OP) {                                                              \
+  lbl_op_##OP: {                                                                          \
     const SuperOp& so = sops[pc];                                                         \
     TWILL_SUPER_PRE();                                                                    \
     slots[so.resSlot] =                                                                   \
@@ -187,7 +156,7 @@ SuperRunStatus ExecState::runSuper(Model& model) {
     TWILL_SUPER_NEXT();                                                                   \
   }
 #define TWILL_SUPER_CMP(OP)                                                               \
-  TWILL_SUPER_LABEL_OP(OP) {                                                              \
+  lbl_op_##OP: {                                                                          \
     const SuperOp& so = sops[pc];                                                         \
     TWILL_SUPER_PRE();                                                                    \
     slots[so.resSlot] =                                                                   \
@@ -196,7 +165,7 @@ SuperRunStatus ExecState::runSuper(Model& model) {
     TWILL_SUPER_NEXT();                                                                   \
   }
 #define TWILL_SUPER_CAST(OP)                                                              \
-  TWILL_SUPER_LABEL_OP(OP) {                                                              \
+  lbl_op_##OP: {                                                                          \
     const SuperOp& so = sops[pc];                                                         \
     TWILL_SUPER_PRE();                                                                    \
     slots[so.resSlot] =                                                                   \
@@ -205,214 +174,205 @@ SuperRunStatus ExecState::runSuper(Model& model) {
     TWILL_SUPER_NEXT();                                                                   \
   }
 
-      TWILL_SUPER_BIN(Add)
-      TWILL_SUPER_BIN(Sub)
-      TWILL_SUPER_BIN(Mul)
-      TWILL_SUPER_BIN(SDiv)
-      TWILL_SUPER_BIN(UDiv)
-      TWILL_SUPER_BIN(SRem)
-      TWILL_SUPER_BIN(URem)
-      TWILL_SUPER_BIN(And)
-      TWILL_SUPER_BIN(Or)
-      TWILL_SUPER_BIN(Xor)
-      TWILL_SUPER_BIN(Shl)
-      TWILL_SUPER_BIN(LShr)
-      TWILL_SUPER_BIN(AShr)
-      TWILL_SUPER_CMP(CmpEQ)
-      TWILL_SUPER_CMP(CmpNE)
-      TWILL_SUPER_CMP(CmpSLT)
-      TWILL_SUPER_CMP(CmpSLE)
-      TWILL_SUPER_CMP(CmpSGT)
-      TWILL_SUPER_CMP(CmpSGE)
-      TWILL_SUPER_CMP(CmpULT)
-      TWILL_SUPER_CMP(CmpULE)
-      TWILL_SUPER_CMP(CmpUGT)
-      TWILL_SUPER_CMP(CmpUGE)
-      TWILL_SUPER_CAST(ZExt)
-      TWILL_SUPER_CAST(SExt)
-      TWILL_SUPER_CAST(Trunc)
+  TWILL_SUPER_BIN(Add)
+  TWILL_SUPER_BIN(Sub)
+  TWILL_SUPER_BIN(Mul)
+  TWILL_SUPER_BIN(SDiv)
+  TWILL_SUPER_BIN(UDiv)
+  TWILL_SUPER_BIN(SRem)
+  TWILL_SUPER_BIN(URem)
+  TWILL_SUPER_BIN(And)
+  TWILL_SUPER_BIN(Or)
+  TWILL_SUPER_BIN(Xor)
+  TWILL_SUPER_BIN(Shl)
+  TWILL_SUPER_BIN(LShr)
+  TWILL_SUPER_BIN(AShr)
+  TWILL_SUPER_CMP(CmpEQ)
+  TWILL_SUPER_CMP(CmpNE)
+  TWILL_SUPER_CMP(CmpSLT)
+  TWILL_SUPER_CMP(CmpSLE)
+  TWILL_SUPER_CMP(CmpSGT)
+  TWILL_SUPER_CMP(CmpSGE)
+  TWILL_SUPER_CMP(CmpULT)
+  TWILL_SUPER_CMP(CmpULE)
+  TWILL_SUPER_CMP(CmpUGT)
+  TWILL_SUPER_CMP(CmpUGE)
+  TWILL_SUPER_CAST(ZExt)
+  TWILL_SUPER_CAST(SExt)
+  TWILL_SUPER_CAST(Trunc)
 
-      TWILL_SUPER_LABEL_OP(Select) {
-        const SuperOp& so = sops[pc];
-        TWILL_SUPER_PRE();
-        slots[so.resSlot] = ((slots[so.a] & 1u) ? slots[so.b] : slots[so.c]) & so.resMask;
-        TWILL_SUPER_POST(so);
-        TWILL_SUPER_NEXT();
-      }
-      TWILL_SUPER_LABEL_OP(PtrToInt) {
-        const SuperOp& so = sops[pc];
-        TWILL_SUPER_PRE();
-        slots[so.resSlot] = slots[so.a] & so.resMask;
-        TWILL_SUPER_POST(so);
-        TWILL_SUPER_NEXT();
-      }
-      TWILL_SUPER_LABEL_OP(IntToPtr) {
-        const SuperOp& so = sops[pc];
-        TWILL_SUPER_PRE();
-        slots[so.resSlot] = slots[so.a] & so.resMask;
-        TWILL_SUPER_POST(so);
-        TWILL_SUPER_NEXT();
-      }
-      TWILL_SUPER_LABEL_OP(Alloca) {
-        const SuperOp& so = sops[pc];
-        TWILL_SUPER_PRE();
-        slots[so.resSlot] = slots[so.a] & so.resMask;
-        TWILL_SUPER_POST(so);
-        TWILL_SUPER_NEXT();
-      }
-      TWILL_SUPER_LABEL_OP(Load) {
-        const SuperOp& so = sops[pc];
-        TWILL_SUPER_PRE();
-        if (!mem_.inRange(slots[so.a], so.accessBytes)) {
-          // trap() clears the frame stack, so no pc write-back is needed; the
-          // trapped op is not counted as retired.
-          trap(memOutOfRangeMessage(slots[so.a], so.accessBytes, mem_.size()));
-          TWILL_SUPER_STOP(kTrapped);
-        }
-        slots[so.resSlot] = mem_.load(slots[so.a], so.accessBytes) & so.resMask;
-        TWILL_SUPER_POST(so);
-        TWILL_SUPER_NEXT();
-      }
-      TWILL_SUPER_LABEL_OP(Store) {
-        const SuperOp& so = sops[pc];
-        TWILL_SUPER_PRE();
-        if (!mem_.inRange(slots[so.b], so.accessBytes)) {
-          trap(memOutOfRangeMessage(slots[so.b], so.accessBytes, mem_.size()));
-          TWILL_SUPER_STOP(kTrapped);
-        }
-        mem_.store(slots[so.b], so.accessBytes, slots[so.a]);
-        TWILL_SUPER_POST(so);
-        TWILL_SUPER_NEXT();
-      }
-      TWILL_SUPER_LABEL_OP(Gep) {
-        const SuperOp& so = sops[pc];
-        TWILL_SUPER_PRE();
-        slots[so.resSlot] =
-            (slots[so.a] + static_cast<uint32_t>(signExtend(slots[so.b], so.auxBits)) * so.aux) &
-            so.resMask;
-        TWILL_SUPER_POST(so);
-        TWILL_SUPER_NEXT();
-      }
-
-      // --- Block exits -----------------------------------------------------
-      // The cold fields come from the full DecodedInst record.
-
-      TWILL_SUPER_LABEL_KIND(kJump) {
-        const SuperOp& so = sops[pc];
-        TWILL_SUPER_PRE();
-        const DecodedInst& d = insts[pc];
-        if (!takeEdge(*fr, *df, so.aux)) TWILL_SUPER_STOP(kTrapped);
-        pc = fr->pc;
-        ++retired;
-        if (!model.endTerm(d)) TWILL_SUPER_STOP(kBudget);
-        TWILL_SUPER_NEXT();
-      }
-      TWILL_SUPER_LABEL_KIND(kJump0) {
-        const SuperOp& so = sops[pc];
-        TWILL_SUPER_PRE();
-        const DecodedInst& d = insts[pc];
-        pc = so.aux;  // copy-free edge: pure goto
-        ++retired;
-        if (!model.endTerm(d)) {
-          fr->pc = pc;
-          TWILL_SUPER_STOP(kBudget);
-        }
-        TWILL_SUPER_NEXT();
-      }
-      TWILL_SUPER_LABEL_KIND(kCond) {
-        const SuperOp& so = sops[pc];
-        TWILL_SUPER_PRE();
-        const DecodedInst& d = insts[pc];
-        const uint32_t cond = slots[so.a] & 1u;
-        if (!takeEdge(*fr, *df, cond ? d.edge0 : d.edge1)) TWILL_SUPER_STOP(kTrapped);
-        pc = fr->pc;
-        ++retired;
-        if (!model.endTerm(d)) TWILL_SUPER_STOP(kBudget);
-        TWILL_SUPER_NEXT();
-      }
-      TWILL_SUPER_LABEL_KIND(kCond0) {
-        const SuperOp& so = sops[pc];
-        TWILL_SUPER_PRE();
-        const DecodedInst& d = insts[pc];
-        pc = (slots[so.a] & 1u) ? so.b : so.c;  // both edges copy-free
-        ++retired;
-        if (!model.endTerm(d)) {
-          fr->pc = pc;
-          TWILL_SUPER_STOP(kBudget);
-        }
-        TWILL_SUPER_NEXT();
-      }
-      TWILL_SUPER_LABEL_KIND(kRet) {
-        const SuperOp& so = sops[pc];
-        TWILL_SUPER_PRE();
-        const DecodedInst& d = insts[pc];
-        const uint32_t rv = (so.flags & DecodedInst::kRetHasValue) ? slots[so.a] : 0;
-        const Frame popped = *fr;
-        frames_.pop_back();  // slots_ keeps its high-water size; kCall re-fills
-        ++retired;
-        if (frames_.empty()) {
-          result_ = rv;
-          model.endFinish(d);
-          TWILL_SUPER_STOP(kFinished);
-        }
-        Frame& caller = frames_.back();
-        if (popped.wantRet) slots_[caller.base + popped.retSlot] = rv & popped.retMask;
-        ++caller.pc;
-        TWILL_SUPER_RELOAD();
-        if (!model.endTerm(d)) TWILL_SUPER_STOP(kBudget);
-        TWILL_SUPER_NEXT();
-      }
-      TWILL_SUPER_LABEL_KIND(kCall) {
-        TWILL_SUPER_PRE();
-        const DecodedInst& d = insts[pc];
-        if (frames_.size() > 512) {
-          trap("call depth exceeded (recursion is unsupported)");
-          TWILL_SUPER_STOP(kTrapped);
-        }
-        const DecodedFunction* callee = d.callee;
-        fr->pc = pc;  // the matching Ret resumes the caller at pc + 1
-        const uint32_t newBase = fr->base + df->frameSlots;
-        if (slots_.size() < newBase + callee->frameSlots)
-          slots_.resize(newBase + callee->frameSlots);
-        std::fill(slots_.begin() + newBase, slots_.begin() + newBase + callee->numSlots, 0);
-        std::copy(callee->constPool.begin(), callee->constPool.end(),
-                  slots_.begin() + newBase + callee->numSlots);
-        uint32_t* callerSlots = slots_.data() + fr->base;  // re-read after resize
-        const uint32_t* args = df->callArgs.data() + d.argBegin;
-        const uint32_t nCopy = d.argCount < callee->numSlots ? d.argCount : callee->numSlots;
-        for (uint32_t i = 0; i < nCopy; ++i) slots_[newBase + i] = callerSlots[args[i]];
-        Frame nf;
-        nf.fn = callee;
-        nf.pc = callee->entryPc;
-        nf.base = newBase;
-        nf.retSlot = d.resSlot;
-        nf.retMask = d.resMask;
-        nf.wantRet = (d.flags & DecodedInst::kHasResult) != 0;
-        frames_.push_back(nf);
-        ++retired;
-        TWILL_SUPER_RELOAD();
-        if (!model.endTerm(d)) TWILL_SUPER_STOP(kBudget);
-        TWILL_SUPER_NEXT();
-      }
-      TWILL_SUPER_LABEL_DEFAULT
-      TWILL_SUPER_LABEL_KIND(kSlow) {
-        // Channel op, poisoned record, or an unknown code: hand the op to
-        // the per-inst path (step() performs, blocks on, or traps it).
-        fr->pc = pc;
-        TWILL_SUPER_STOP(kNeedStep);
-      }
-
-#if !TWILL_SUPER_THREADED
-    }
+  lbl_op_Select: {
+    const SuperOp& so = sops[pc];
+    TWILL_SUPER_PRE();
+    slots[so.resSlot] = ((slots[so.a] & 1u) ? slots[so.b] : slots[so.c]) & so.resMask;
+    TWILL_SUPER_POST(so);
+    TWILL_SUPER_NEXT();
   }
-#endif
+  lbl_op_PtrToInt: {
+    const SuperOp& so = sops[pc];
+    TWILL_SUPER_PRE();
+    slots[so.resSlot] = slots[so.a] & so.resMask;
+    TWILL_SUPER_POST(so);
+    TWILL_SUPER_NEXT();
+  }
+  lbl_op_IntToPtr: {
+    const SuperOp& so = sops[pc];
+    TWILL_SUPER_PRE();
+    slots[so.resSlot] = slots[so.a] & so.resMask;
+    TWILL_SUPER_POST(so);
+    TWILL_SUPER_NEXT();
+  }
+  lbl_op_Alloca: {
+    const SuperOp& so = sops[pc];
+    TWILL_SUPER_PRE();
+    slots[so.resSlot] = slots[so.a] & so.resMask;
+    TWILL_SUPER_POST(so);
+    TWILL_SUPER_NEXT();
+  }
+  lbl_op_Load: {
+    const SuperOp& so = sops[pc];
+    TWILL_SUPER_PRE();
+    if (!mem_.inRange(slots[so.a], so.accessBytes)) {
+      // trap() clears the frame stack, so no pc write-back is needed; the
+      // trapped op is not counted as retired.
+      trap(memOutOfRangeMessage(slots[so.a], so.accessBytes, mem_.size()));
+      TWILL_SUPER_STOP(kTrapped);
+    }
+    slots[so.resSlot] = mem_.load(slots[so.a], so.accessBytes) & so.resMask;
+    TWILL_SUPER_POST(so);
+    TWILL_SUPER_NEXT();
+  }
+  lbl_op_Store: {
+    const SuperOp& so = sops[pc];
+    TWILL_SUPER_PRE();
+    if (!mem_.inRange(slots[so.b], so.accessBytes)) {
+      trap(memOutOfRangeMessage(slots[so.b], so.accessBytes, mem_.size()));
+      TWILL_SUPER_STOP(kTrapped);
+    }
+    mem_.store(slots[so.b], so.accessBytes, slots[so.a]);
+    TWILL_SUPER_POST(so);
+    TWILL_SUPER_NEXT();
+  }
+  lbl_op_Gep: {
+    const SuperOp& so = sops[pc];
+    TWILL_SUPER_PRE();
+    slots[so.resSlot] =
+        (slots[so.a] + static_cast<uint32_t>(signExtend(slots[so.b], so.auxBits)) * so.aux) &
+        so.resMask;
+    TWILL_SUPER_POST(so);
+    TWILL_SUPER_NEXT();
+  }
+
+  // --- Block exits ----------------------------------------------------------
+  // The cold fields come from the full DecodedInst record.
+
+  lbl_kind_kJump: {
+    const SuperOp& so = sops[pc];
+    TWILL_SUPER_PRE();
+    const DecodedInst& d = insts[pc];
+    if (!takeEdge(*fr, *df, so.aux)) TWILL_SUPER_STOP(kTrapped);
+    pc = fr->pc;
+    ++retired;
+    if (!model.endTerm(d)) TWILL_SUPER_STOP(kBudget);
+    TWILL_SUPER_NEXT();
+  }
+  lbl_kind_kJump0: {
+    const SuperOp& so = sops[pc];
+    TWILL_SUPER_PRE();
+    const DecodedInst& d = insts[pc];
+    pc = so.aux;  // copy-free edge: pure goto
+    ++retired;
+    if (!model.endTerm(d)) {
+      fr->pc = pc;
+      TWILL_SUPER_STOP(kBudget);
+    }
+    TWILL_SUPER_NEXT();
+  }
+  lbl_kind_kCond: {
+    const SuperOp& so = sops[pc];
+    TWILL_SUPER_PRE();
+    const DecodedInst& d = insts[pc];
+    const uint32_t cond = slots[so.a] & 1u;
+    if (!takeEdge(*fr, *df, cond ? d.edge0 : d.edge1)) TWILL_SUPER_STOP(kTrapped);
+    pc = fr->pc;
+    ++retired;
+    if (!model.endTerm(d)) TWILL_SUPER_STOP(kBudget);
+    TWILL_SUPER_NEXT();
+  }
+  lbl_kind_kCond0: {
+    const SuperOp& so = sops[pc];
+    TWILL_SUPER_PRE();
+    const DecodedInst& d = insts[pc];
+    pc = (slots[so.a] & 1u) ? so.b : so.c;  // both edges copy-free
+    ++retired;
+    if (!model.endTerm(d)) {
+      fr->pc = pc;
+      TWILL_SUPER_STOP(kBudget);
+    }
+    TWILL_SUPER_NEXT();
+  }
+  lbl_kind_kRet: {
+    const SuperOp& so = sops[pc];
+    TWILL_SUPER_PRE();
+    const DecodedInst& d = insts[pc];
+    const uint32_t rv = (so.flags & DecodedInst::kRetHasValue) ? slots[so.a] : 0;
+    const Frame popped = *fr;
+    frames_.pop_back();  // slots_ keeps its high-water size; kCall re-fills
+    ++retired;
+    if (frames_.empty()) {
+      result_ = rv;
+      model.endFinish(d);
+      TWILL_SUPER_STOP(kFinished);
+    }
+    Frame& caller = frames_.back();
+    if (popped.wantRet) slots_[caller.base + popped.retSlot] = rv & popped.retMask;
+    ++caller.pc;
+    TWILL_SUPER_RELOAD();
+    if (!model.endTerm(d)) TWILL_SUPER_STOP(kBudget);
+    TWILL_SUPER_NEXT();
+  }
+  lbl_kind_kCall: {
+    TWILL_SUPER_PRE();
+    const DecodedInst& d = insts[pc];
+    if (frames_.size() > 512) {
+      trap("call depth exceeded (recursion is unsupported)");
+      TWILL_SUPER_STOP(kTrapped);
+    }
+    const DecodedFunction* callee = d.callee;
+    fr->pc = pc;  // the matching Ret resumes the caller at pc + 1
+    const uint32_t newBase = fr->base + df->frameSlots;
+    if (slots_.size() < newBase + callee->frameSlots)
+      slots_.resize(newBase + callee->frameSlots);
+    std::fill(slots_.begin() + newBase, slots_.begin() + newBase + callee->numSlots, 0);
+    std::copy(callee->constPool.begin(), callee->constPool.end(),
+              slots_.begin() + newBase + callee->numSlots);
+    uint32_t* callerSlots = slots_.data() + fr->base;  // re-read after resize
+    const uint32_t* args = df->callArgs.data() + d.argBegin;
+    const uint32_t nCopy = d.argCount < callee->numSlots ? d.argCount : callee->numSlots;
+    for (uint32_t i = 0; i < nCopy; ++i) slots_[newBase + i] = callerSlots[args[i]];
+    Frame nf;
+    nf.fn = callee;
+    nf.pc = callee->entryPc;
+    nf.base = newBase;
+    nf.retSlot = d.resSlot;
+    nf.retMask = d.resMask;
+    nf.wantRet = (d.flags & DecodedInst::kHasResult) != 0;
+    frames_.push_back(nf);
+    ++retired;
+    TWILL_SUPER_RELOAD();
+    if (!model.endTerm(d)) TWILL_SUPER_STOP(kBudget);
+    TWILL_SUPER_NEXT();
+  }
+  lbl_kind_kSlow: {
+    // Channel op, poisoned record, or an unknown code: hand the op to
+    // the per-inst path (step() performs, blocks on, or traps it).
+    fr->pc = pc;
+    TWILL_SUPER_STOP(kNeedStep);
+  }
 
 #undef TWILL_SUPER_BIN
 #undef TWILL_SUPER_CMP
 #undef TWILL_SUPER_CAST
-#undef TWILL_SUPER_LABEL_OP
-#undef TWILL_SUPER_LABEL_KIND
-#undef TWILL_SUPER_LABEL_DEFAULT
 #undef TWILL_SUPER_NEXT
 #undef TWILL_SUPER_PRE
 #undef TWILL_SUPER_POST

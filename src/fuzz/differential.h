@@ -8,9 +8,8 @@
 // 3-step budget forcing a stop/resume at every op boundary, which exercises
 // the kBudget write-back paths the schedulers rely on. All four runs must
 // agree on finished-vs-trapped, the result, the retired-op count, and the
-// trap message. The superblock dispatcher flavour (threaded vs portable) is
-// a compile-time choice (TWILL_SUPER_NO_THREADED), so the CI matrix covers
-// both with this same code.
+// trap message. The superblock runner has one dispatcher (direct-threaded
+// computed goto), so every build runs this property against all of it.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,7 @@
 #include "src/hls/schedule.h"
 
 #include <algorithm>
+#include <array>
 
 namespace twill {
 namespace {
@@ -21,7 +22,7 @@ struct StateUse {
   unsigned queueOps = 0;
   unsigned muls = 0;
   unsigned divs = 0;
-  std::unordered_map<Opcode, unsigned> fuUse;  // per-kind concurrent use
+  std::array<unsigned, kNumOpcodes> fuUse{};  // per-kind concurrent use
 };
 
 bool isDivOp(Opcode op) {
@@ -32,18 +33,16 @@ bool isDivOp(Opcode op) {
 
 FunctionSchedule scheduleFunction(Function& f, const HlsConstraints& c) {
   FunctionSchedule out;
-  out.fn = &f;
-  out.fnName = f.name();
-  out.instCount = f.instructionCount();
   f.renumber();
+  out.blocks.resize(f.numBlocks());
 
   // Per-function FU binding: track the maximum concurrent use of each
   // expensive unit kind across all states; shared units are muxed.
-  std::unordered_map<Opcode, unsigned> maxFuUse;
-  unsigned maxMemPorts = 0, maxQueuePorts = 0;
+  std::array<unsigned, kNumOpcodes> maxFuUse{};
   // Per-opcode static census (first occurrence + instance count), filled in
   // the main walk so the area loop below never rescans the function.
-  std::unordered_map<Opcode, std::pair<const Instruction*, unsigned>> census;
+  std::array<const Instruction*, kNumOpcodes> sample{};
+  std::array<unsigned, kNumOpcodes> instances{};
   // Register estimate: one register per computed value. Consume results
   // live in the HWInterface's receive register (cheap), and PHIs are
   // counted as muxes by hwOpArea, so neither gets a full register here —
@@ -63,16 +62,16 @@ FunctionSchedule scheduleFunction(Function& f, const HlsConstraints& c) {
 
   for (auto& bbPtr : f.blocks()) {
     BasicBlock* bb = bbPtr;
-    BlockSchedule bs;
+    BlockSchedule& bs = out.blocks[bb->id()];
     std::vector<StateUse> states(1);
 
     unsigned extraFixedCycles = 0;  // multi-cycle arithmetic latencies
     unsigned blockMuls = 0, blockDivs = 0;  // static counts for the II floor
     for (auto& instPtr : *bb) {
       Instruction* inst = instPtr;
-      auto [cIt, cFresh] = census.emplace(inst->op(), std::make_pair(inst, 0u));
-      (void)cFresh;
-      ++cIt->second.second;
+      const unsigned ord = static_cast<unsigned>(inst->op());
+      if (!sample[ord]) sample[ord] = inst;
+      ++instances[ord];
       if (inst->op() == Opcode::Mul) ++blockMuls;
       if (isDivOp(inst->op())) ++blockDivs;
       if (!inst->type()->isVoid() && !inst->isPhi()) {
@@ -125,7 +124,7 @@ FunctionSchedule scheduleFunction(Function& f, const HlsConstraints& c) {
       if (usesQueuePort(op)) ++u.queueOps;
       if (op == Opcode::Mul) ++u.muls;
       if (isDivOp(op)) ++u.divs;
-      ++u.fuUse[op];
+      ++u.fuUse[ord];
 
       out.stateOf[inst->id()] = start;
       readyIn[inst->id()] = bb;
@@ -156,39 +155,30 @@ FunctionSchedule scheduleFunction(Function& f, const HlsConstraints& c) {
       bs.pipelinedII = std::min(ii, bs.staticCycles);
     }
     // Update FU binding maxima.
-    for (const StateUse& u : states) {
-      maxMemPorts = std::max(maxMemPorts, u.memOps);
-      maxQueuePorts = std::max(maxQueuePorts, u.queueOps);
-      for (auto& [op, cnt] : u.fuUse) {
-        auto& mx = maxFuUse[op];
-        mx = std::max(mx, cnt);
-      }
-    }
+    for (const StateUse& u : states)
+      for (unsigned k = 0; k < kNumOpcodes; ++k) maxFuUse[k] = std::max(maxFuUse[k], u.fuUse[k]);
     out.totalStates += bs.numStates;
-    out.blocks[bb] = std::move(bs);
   }
 
   // Area: shared functional units (max concurrent use), registers, FSM and
   // multiplexing overhead. Constants are coarse but calibrated to land in
   // the LUT ranges Table 6.2 reports for CHStone-sized kernels.
   AreaEstimate area;
-  for (auto& [op, cnt] : maxFuUse) {
+  for (unsigned k = 0; k < kNumOpcodes; ++k) {
+    const unsigned cnt = maxFuUse[k];
+    const Opcode op = static_cast<Opcode>(k);
     // Runtime operations go through the per-thread HWInterface (its 44 LUTs
     // are part of the runtime area model), and branches are FSM transitions
     // (counted via the per-state term) — neither is a datapath unit.
-    if (usesQueuePort(op) || isTerminatorOp(op)) continue;
+    if (cnt == 0 || usesQueuePort(op) || isTerminatorOp(op)) continue;
     // One representative instruction of this opcode (first in program
     // order, from the census) for the per-unit cost.
-    auto cIt = census.find(op);
-    if (cIt == census.end()) continue;
-    const Instruction* sample = cIt->second.first;
-    OpArea oa = hwOpArea(*sample);
+    OpArea oa = hwOpArea(*sample[k]);
     area.luts += oa.luts * cnt;
     area.dsps += oa.dsps * cnt;
     // Sharing mux: every extra user of a shared unit costs ~8 LUTs of
     // steering logic, charged against total static instances of this op.
-    const unsigned instances = cIt->second.second;
-    if (instances > cnt) area.luts += (instances - cnt) * 8;
+    if (instances[k] > cnt) area.luts += (instances[k] - cnt) * 8;
   }
   // Registers: roughly one packed 32-bit register per computed value, a
   // couple of LUTs per consume (HWInterface receive register share), and
@@ -206,28 +196,8 @@ ScheduleMap scheduleModule(Module& m, const HlsConstraints& c) {
   return out;
 }
 
-ScheduleMap scheduleModule(Module& m, const HlsConstraints& c, const ScheduleMap& prior) {
-  ScheduleMap out;
-  for (auto& fptr : m.functions()) {
-    Function* f = fptr;
-    auto it = prior.find(f);
-    bool reusable = it != prior.end() && it->second.fnName == f->name() &&
-                    it->second.instCount == f->instructionCount() &&
-                    it->second.blocks.size() == f->numBlocks();
-    if (reusable) {
-      // The block set must be exactly the current one: a function rebuilt
-      // at a recycled address (or reshaped by a later cleanup) has blocks
-      // the cached schedule has never seen.
-      for (auto& bb : f->blocks()) {
-        if (it->second.blocks.find(bb) == it->second.blocks.end()) {
-          reusable = false;
-          break;
-        }
-      }
-    }
-    out.emplace(f, reusable ? it->second : scheduleFunction(*f, c));
-  }
-  return out;
+ScheduleMap scheduleModule(Module& m, const HlsConstraints& c, const ScheduleMap&) {
+  return scheduleModule(m, c);
 }
 
 unsigned bramBlocksForGlobals(const Module& m) {

@@ -9,6 +9,12 @@
 // LUTs/DSPs/BRAMs the circuit needs. This module computes both. The
 // cycle-level executor charges the static state count per block and models
 // memory/queue operations dynamically (they depend on bus contention).
+//
+// Schedules are vectors on the dense block and instruction ids
+// Function::renumber assigns, and the per-state and per-function unit
+// tallies are arrays by opcode ordinal. Every module is scheduled from
+// scratch, once: the driver schedules the baseline module for the pure-HW
+// flow and the extracted module for the Twill flow.
 #pragma once
 
 #include <unordered_map>
@@ -54,33 +60,19 @@ struct AreaEstimate {
 };
 
 struct FunctionSchedule {
-  Function* fn = nullptr;
-  /// Name and instruction count at scheduling time: reuse guards for the
-  /// driver's schedule cache (a recycled Function address after DSWP gets a
-  /// fresh "_dswp_" name, and a pass that inserts/removes instructions in a
-  /// surviving function changes the count, so either mismatch exposes a
-  /// stale entry).
-  std::string fnName;
-  size_t instCount = 0;
-  std::unordered_map<const BasicBlock*, BlockSchedule> blocks;
+  /// One schedule per block, indexed by the block ids scheduleFunction
+  /// assigns when it renumbers the function; renumbering the unchanged
+  /// function again (as the decoder does) gives every block the same id.
+  std::vector<BlockSchedule> blocks;
   /// FSM state of each instruction within its block (diagnostics / tests),
-  /// indexed by the instruction ids scheduleFunction assigns when it
-  /// renumbers the function (the argument slots read 0).
+  /// indexed by the instruction ids of the same renumbering (the argument
+  /// slots read 0).
   std::vector<unsigned> stateOf;
   unsigned totalStates = 0;
   AreaEstimate area;
-
-  unsigned staticCyclesFor(const BasicBlock* bb) const {
-    auto it = blocks.find(bb);
-    return it == blocks.end() ? 1u : it->second.staticCycles;
-  }
-  unsigned pipelinedIIFor(const BasicBlock* bb) const {
-    auto it = blocks.find(bb);
-    return it == blocks.end() ? 1u : it->second.pipelinedII;
-  }
 };
 
-/// Schedules one function. Pure analysis: the IR is not modified.
+/// Schedules one function. Renumbers it; otherwise the IR is not modified.
 FunctionSchedule scheduleFunction(Function& f, const HlsConstraints& c = {});
 
 /// Map from every function that may execute in hardware to its FSM schedule.
@@ -91,15 +83,8 @@ using ScheduleMap = std::unordered_map<const Function*, FunctionSchedule>;
 /// Builds schedules for every function in the module.
 ScheduleMap scheduleModule(Module& m, const HlsConstraints& c = {});
 
-/// Like scheduleModule, but reuses entries from `prior` (the baseline
-/// module's schedules) for functions the later passes left untouched —
-/// DSWP only redirects call sites in surviving functions, which scheduling
-/// is invariant to, so the driver schedules each function once per report
-/// instead of once per flow. An entry is reused only when the function
-/// pointer, its name and its exact block set still match (erased functions
-/// leave dangling keys in `prior`; those are never dereferenced, and a
-/// recycled address fails the name/block guard). Scheduling is
-/// deterministic, so a reused entry is bit-identical to a recomputation.
+/// Same as scheduleModule(m, c); `prior` is never read. Kept only for the
+/// benchmark harness (perfbench/harness.cpp), which still calls it.
 ScheduleMap scheduleModule(Module& m, const HlsConstraints& c, const ScheduleMap& prior);
 
 /// Area of the memory blocks a pure-hardware (LegUp) translation would

@@ -55,6 +55,9 @@ enum class Opcode : uint8_t {
   SemLower,  // (count) ; semaphore id in field
 };
 
+/// Number of opcodes: tables indexed by opcode ordinal have this many rows.
+constexpr unsigned kNumOpcodes = static_cast<unsigned>(Opcode::SemLower) + 1;
+
 const char* opcodeName(Opcode op);
 bool isBinaryOp(Opcode op);
 bool isCompareOp(Opcode op);

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <optional>
 
-#include "src/exec/superblock.h"
 #include "src/support/json.h"
 
 namespace twill {
@@ -209,7 +208,6 @@ HttpResponse TwillService::route(const HttpRequest& req, Endpoint& ep) {
 #else
     w.field("build", "debug");
 #endif
-    w.field("dispatcher", superDispatchKind());
     w.endObject();
     HttpResponse resp;
     resp.body = w.str() + "\n";
@@ -497,7 +495,7 @@ std::optional<TwillService::CachedResponse> TwillService::lookupResponseLocked(
     const std::string& fullKey) {
   auto hit = responses_.find(fullKey);
   if (hit == responses_.end()) return std::nullopt;
-  responseUse_[fullKey] = ++useClock_;
+  hit->second.lastUse = ++useClock_;
   return hit->second;
 }
 
@@ -529,8 +527,8 @@ void TwillService::finishJob(uint64_t id, CachePath path, const std::string& ful
   }
   publishLocked(id, resp, path);
   // Cache the response under the full key (the level-1 hit path).
+  resp.lastUse = ++useClock_;
   responses_[fullKey] = std::move(resp);
-  responseUse_[fullKey] = ++useClock_;
   evictIfNeeded();
 }
 
@@ -572,57 +570,49 @@ size_t TwillService::cacheBytesLocked() const {
   return total;
 }
 
+namespace {
+
+/// The least recently used entry of `cache` by `stamp(value)` (end() when
+/// empty): the first in iteration order among those with the oldest stamp.
+template <class Cache, class Stamp>
+typename Cache::iterator leastRecentlyUsed(Cache& cache, Stamp stamp) {
+  auto victim = cache.begin();
+  for (auto it = cache.begin(); it != cache.end(); ++it)
+    if (stamp(it->second) < stamp(victim->second)) victim = it;
+  return victim;
+}
+
+}  // namespace
+
 void TwillService::evictIfNeeded() {
+  const auto responseUse = [](const CachedResponse& r) { return r.lastUse; };
+  const auto artifactUse = [](const std::shared_ptr<CacheEntry>& e) { return e->lastUse; };
   while (responses_.size() > cfg_.maxCacheEntries) {
-    auto victim = responses_.begin();
-    uint64_t oldest = UINT64_MAX;
-    for (auto it = responses_.begin(); it != responses_.end(); ++it) {
-      const uint64_t use = responseUse_.count(it->first) ? responseUse_[it->first] : 0;
-      if (use < oldest) {
-        oldest = use;
-        victim = it;
-      }
-    }
-    responseUse_.erase(victim->first);
-    responses_.erase(victim);
+    responses_.erase(leastRecentlyUsed(responses_, responseUse));
     mEvictResponse_->inc();
   }
   while (artifacts_.size() > cfg_.maxCacheEntries) {
-    auto victim = artifacts_.begin();
-    for (auto it = artifacts_.begin(); it != artifacts_.end(); ++it)
-      if (it->second->lastUse < victim->second->lastUse) victim = it;
-    artifacts_.erase(victim);
+    artifacts_.erase(leastRecentlyUsed(artifacts_, artifactUse));
     mEvictArtifact_->inc();
   }
   // Byte budget: charge artifact entries their kept module's arena footprint
   // and response entries their document size; evict the globally least-
-  // recently-used entry (whichever pool holds it) until under budget.
+  // recently-used entry (whichever pool holds it, an artifact on a tie)
+  // until under budget.
   if (cfg_.maxCacheBytes) {
     size_t total = cacheBytesLocked();
     while (total > cfg_.maxCacheBytes && (!artifacts_.empty() || !responses_.empty())) {
-      auto aVictim = artifacts_.end();
-      for (auto it = artifacts_.begin(); it != artifacts_.end(); ++it)
-        if (aVictim == artifacts_.end() || it->second->lastUse < aVictim->second->lastUse)
-          aVictim = it;
-      auto rVictim = responses_.end();
-      uint64_t rOldest = UINT64_MAX;
-      for (auto it = responses_.begin(); it != responses_.end(); ++it) {
-        const uint64_t use = responseUse_.count(it->first) ? responseUse_[it->first] : 0;
-        if (rVictim == responses_.end() || use < rOldest) {
-          rOldest = use;
-          rVictim = it;
-        }
-      }
+      auto aVictim = leastRecentlyUsed(artifacts_, artifactUse);
+      auto rVictim = leastRecentlyUsed(responses_, responseUse);
       const bool takeArtifact =
           aVictim != artifacts_.end() &&
-          (rVictim == responses_.end() || aVictim->second->lastUse <= rOldest);
+          (rVictim == responses_.end() || aVictim->second->lastUse <= rVictim->second.lastUse);
       if (takeArtifact) {
         total -= std::min(total, aVictim->first.size() + aVictim->second->approxBytes);
         artifacts_.erase(aVictim);
         mEvictArtifact_->inc();
       } else {
         total -= std::min(total, rVictim->first.size() + rVictim->second.doc.size());
-        responseUse_.erase(rVictim->first);
         responses_.erase(rVictim);
         mEvictResponse_->inc();
       }

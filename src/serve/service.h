@@ -148,6 +148,7 @@ class TwillService {
     int status = 0;
     FailureKind kind = FailureKind::None;
     std::string doc;  // reportToJson document
+    uint64_t lastUse = 0;  // LRU stamp (useClock_)
   };
 
   /// One cached compile: the anchor report (artifacts attached when the
@@ -218,7 +219,6 @@ class TwillService {
   size_t doneJobs_ = 0;  // jobs_ entries in state Done
   // Response cache: full request key -> (status, failure kind, document).
   std::unordered_map<std::string, CachedResponse> responses_;
-  std::unordered_map<std::string, uint64_t> responseUse_;
   // Artifact cache: compile key -> entry (shared_ptr so a re-sim can run
   // outside mu_ while eviction drops the map reference).
   std::unordered_map<std::string, std::shared_ptr<CacheEntry>> artifacts_;

@@ -2,6 +2,7 @@
 // propagation of the public runBenchmark() entry point.
 #include <gtest/gtest.h>
 
+#include "src/chstone/kernels.h"
 #include "src/driver/driver.h"
 
 namespace twill {
@@ -65,6 +66,35 @@ TEST(DriverTest, SkippingFlowsLeavesThemEmpty) {
   EXPECT_EQ(r.hw.cycles, 0u);
   EXPECT_GT(r.twill.cycles, 0u);
   EXPECT_GT(r.queues, 0u);
+}
+
+void expectSameArea(const AreaEstimate& a, const AreaEstimate& b) {
+  EXPECT_EQ(a.luts, b.luts);
+  EXPECT_EQ(a.dsps, b.dsps);
+  EXPECT_EQ(a.brams, b.brams);
+}
+
+// The baseline module is scheduled only for the pure-HW flow; the Twill
+// flow schedules its own module and reads nothing of the baseline's.
+TEST(DriverTest, TwillFlowDoesNotDependOnThePureHwFlow) {
+  for (const char* kernel : {"mpeg2", "sha"}) {  // main plus a multi-block callee
+    const std::string source = findKernel(kernel)->source;
+    BenchmarkReport full = runBenchmark(kernel, source);
+    DriverOptions noHw;
+    noHw.runPureHW = false;
+    BenchmarkReport r = runBenchmark(kernel, source, noHw);
+    ASSERT_TRUE(full.ok && r.ok) << full.error << r.error;
+    expectSameOutcome(r.twill, full.twill);
+    EXPECT_EQ(r.queues, full.queues) << kernel;
+    EXPECT_EQ(r.semaphores, full.semaphores) << kernel;
+    EXPECT_EQ(r.hwThreads, full.hwThreads) << kernel;
+    EXPECT_EQ(r.swThreads, full.swThreads) << kernel;
+    expectSameArea(r.areas.twillHwThreads, full.areas.twillHwThreads);
+    expectSameArea(r.areas.twillTotal, full.areas.twillTotal);
+    expectSameArea(r.areas.twillPlusMicroblaze, full.areas.twillPlusMicroblaze);
+    expectSameArea(r.areas.legup, AreaEstimate{});
+    EXPECT_GT(full.areas.legup.luts, 0u) << kernel;
+  }
 }
 
 TEST(DriverTest, BaselinesOnlySkipExtraction) {

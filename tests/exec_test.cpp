@@ -406,6 +406,48 @@ TEST(ExecTrapTest, LayoutAddrOfUnmappedReturnsSentinel) {
   EXPECT_EQ(lay.addrOf(g), Layout::kUnmapped);
 }
 
+// Each decoded terminator carries its own block's schedule, read by block
+// id; a function the schedule map lacks carries none.
+TEST(ExecDecodeTest, TerminatorsCarryTheirBlockSchedule) {
+  Module m;
+  DiagEngine diag;
+  ASSERT_TRUE(compileC(findKernel("mpeg2")->source, m, diag)) << diag.str();
+  runDefaultPipeline(m, 0);  // keeps getbits and decode_mv out of main
+  ScheduleMap sched = scheduleModule(m);
+  Function* unscheduled = nullptr;
+  for (auto& f : m.functions())
+    if (f->name() != "main" && f->numBlocks() > 1) unscheduled = f;
+  ASSERT_NE(unscheduled, nullptr);
+  sched.erase(unscheduled);
+  Memory mem;
+  Layout lay;
+  lay.build(m, mem);
+  DecodedProgram prog(m, lay, &sched);
+  size_t multiBlockFunctions = 0;
+  for (auto& f : m.functions()) {
+    const DecodedFunction& df = prog.get(f);
+    const auto it = sched.find(f);
+    if (it != sched.end() && f->numBlocks() > 1) ++multiBlockFunctions;
+    size_t terminators = 0;
+    for (const DecodedInst& d : df.insts) {
+      if (!d.src->isTerminator()) continue;
+      ++terminators;
+      if (it == sched.end()) {
+        EXPECT_FALSE(d.flags & DecodedInst::kHasSchedule) << f->name();
+        EXPECT_EQ(d.hlsStatic, 1u) << f->name();
+        EXPECT_EQ(d.hlsII, 1u) << f->name();
+        continue;
+      }
+      const BlockSchedule& bs = it->second.blocks[d.src->parent()->id()];
+      EXPECT_TRUE(d.flags & DecodedInst::kHasSchedule) << f->name();
+      EXPECT_EQ(d.hlsStatic, bs.staticCycles) << f->name();
+      EXPECT_EQ(d.hlsII, bs.pipelinedII) << f->name();
+    }
+    EXPECT_EQ(terminators, f->numBlocks()) << f->name();
+  }
+  EXPECT_GE(multiBlockFunctions, 2u);
+}
+
 // ---------------------------------------------------------------------------
 // Cycle-level golden counters.
 //

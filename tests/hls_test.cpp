@@ -84,7 +84,7 @@ TEST_F(HlsFixture, ChainDepthBound) {
   c.maxChainDepth = 4;
   FunctionSchedule sched = scheduleFunction(*f2, c);
   // 12 loads (1 mem port) dominate; but the add chain alone needs >= 3 states.
-  EXPECT_GE(sched.blocks.at(f2->entry()).numStates, 3u);
+  EXPECT_GE(sched.blocks.at(f2->entry()->id()).numStates, 3u);
   (void)f;
 }
 
@@ -98,7 +98,7 @@ TEST_F(HlsFixture, DividerLatencyCharged) {
   Function* f2 = m2.findFunction("main");
   FunctionSchedule sched = scheduleFunction(*f2);
   // Two divides at 13 cycles each dominate the entry block's static cycles.
-  EXPECT_GE(sched.blocks.at(f2->entry()).staticCycles, 26u);
+  EXPECT_GE(sched.blocks.at(f2->entry()->id()).staticCycles, 26u);
   (void)f;
 }
 
@@ -116,7 +116,7 @@ TEST_F(HlsFixture, PipelinedIINeverExceedsStatic) {
     Function* f = mm.findFunction("main");
     FunctionSchedule sched = scheduleFunction(*f);
     for (auto& bb : f->blocks()) {
-      const BlockSchedule& bs = sched.blocks.at(bb);
+      const BlockSchedule& bs = sched.blocks.at(bb->id());
       EXPECT_GE(bs.pipelinedII, 1u);
       EXPECT_LE(bs.pipelinedII, bs.staticCycles);
     }
@@ -141,8 +141,8 @@ TEST_F(HlsFixture, ILPReducesStates) {
   for (auto& fn : md.functions()) mem2reg(*fn);
   FunctionSchedule si = scheduleFunction(*mi.findFunction("main"));
   FunctionSchedule sd = scheduleFunction(*md.findFunction("main"));
-  EXPECT_LT(si.blocks.at(mi.findFunction("main")->entry()).staticCycles,
-            sd.blocks.at(md.findFunction("main")->entry()).staticCycles);
+  EXPECT_LT(si.blocks.at(mi.findFunction("main")->entry()->id()).staticCycles,
+            sd.blocks.at(md.findFunction("main")->entry()->id()).staticCycles);
 }
 
 TEST_F(HlsFixture, AreaGrowsWithProgramSize) {

@@ -38,7 +38,7 @@ void printUsage(std::FILE* to) {
                "  GET  /v1/metrics         Prometheus text exposition (latency\n"
                "                           histograms, cache/outcome counters,\n"
                "                           worker-pool gauges)\n"
-               "  GET  /v1/healthz         liveness probe (build + dispatcher info)\n"
+               "  GET  /v1/healthz         liveness probe (schema version + build)\n"
                "\n"
                "options:\n"
                "  --host ADDR            listen address (default 127.0.0.1)\n"

@@ -42,10 +42,6 @@ public:
   /// valid for the analysis' lifetime.
   const BaseSet& basesOf(Value* p);
 
-  /// True if this alloca's address escapes the function (passed to a call or
-  /// stored into memory) — escaped allocas may alias argument pointers.
-  bool escapes(const Instruction* alloca) const { return escaped_.count(alloca) != 0; }
-
 private:
   void collect(Value* p, BaseSet& out, std::unordered_set<const Value*>& visiting);
   void computeEscapes();

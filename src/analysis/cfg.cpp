@@ -1,8 +1,45 @@
 #include "src/analysis/cfg.h"
 
+#include <unordered_set>
+
 #include "src/ir/builder.h"
 
 namespace twill {
+
+std::vector<Function*> calleesFirst(Module& m) {
+  auto calleesOf = [](Function* f) {
+    std::vector<Function*> cs;
+    for (auto& bb : f->blocks())
+      for (auto& inst : *bb)
+        if (inst->op() == Opcode::Call) cs.push_back(inst->callee());
+    return cs;
+  };
+  struct DfsNode {
+    Function* f;
+    std::vector<Function*> callees;
+    size_t next = 0;
+  };
+  std::vector<Function*> order;
+  std::unordered_set<Function*> visited;
+  std::vector<DfsNode> stack;
+  auto dfs = [&](Function* root) {
+    if (!visited.insert(root).second) return;
+    stack.push_back({root, calleesOf(root), 0});
+    while (!stack.empty()) {
+      DfsNode& top = stack.back();
+      if (top.next < top.callees.size()) {
+        Function* c = top.callees[top.next++];
+        if (visited.insert(c).second) stack.push_back({c, calleesOf(c), 0});
+      } else {
+        order.push_back(top.f);
+        stack.pop_back();
+      }
+    }
+  };
+  if (Function* main = m.findFunction("main")) dfs(main);
+  for (auto& f : m.functions()) dfs(f);
+  return order;
+}
 
 std::vector<BasicBlock*> exitBlocks(Function& f) {
   std::vector<BasicBlock*> exits;

@@ -68,7 +68,6 @@ public:
   /// build(), has none.
   const std::vector<Instruction*>& controlDepsOf(const BasicBlock* bb) const;
 
-  const DomTree& domTree() const { return dom_; }
   const DomTree& postDomTree() const { return pdom_; }
   const LoopInfo& loopInfo() const { return loops_; }
 

@@ -75,8 +75,9 @@ const Knob kKnobs[] = {
      [](DriverOptions& o) -> KnobField { return &o.sim.numProcessors; }},
     {"sim",     "sched_quantum",         kCount,    0,  kU32,  true,     true,
      [](DriverOptions& o) -> KnobField { return &o.sim.schedQuantum; }},
-    // The pure flows read maxCycles (sim/system.cpp runPureLoop), so it is a
-    // compile-group axis, not a Twill-only one.
+    // The pure flows read maxCycles (they run on the same scheduler loop as
+    // a one-thread system), so it is a compile-group axis, not a Twill-only
+    // one.
     {"sim",     "max_cycles",            kCount,    1,  kU64,  false,    true,
      [](DriverOptions& o) -> KnobField { return &o.sim.maxCycles; }},
     {"hls",     "max_chain_depth",       kCount,    1,  kU32,  false,    false,

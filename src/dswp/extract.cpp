@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_set>
 
 #include "src/analysis/cfg.h"
 #include "src/exec/core.h"
@@ -231,6 +230,7 @@ private:
     }
 
     // Emit blocks.
+    auto same = [](Value* v) { return v; };
     for (auto& bbPtr : f_.blocks()) {
       BasicBlock* bb = bbPtr;
       if (!n.blocks[bb->id()]) continue;
@@ -269,14 +269,12 @@ private:
         }
       }
 
-      // Pass 1: clone owned PHIs (must stay first in the block).
+      // Pass 1: clone owned PHIs (must stay first in the block) with the
+      // original operands; a final fixup pass remaps them.
       for (auto& inst : *bb) {
         if (!inst->isPhi()) break;
         if (owner(inst) != p) continue;
-        Instruction* phi = m_.createInstruction(Opcode::Phi, inst->type());
-        for (unsigned i = 0; i < inst->numIncoming(); ++i)
-          phi->addIncoming(inst->incomingValue(i), inst->incomingBlock(i));  // fixed up later
-        instMap[inst->id()] = cb->append(phi);
+        instMap[inst->id()] = cb->append(cloneInstruction(m_, inst, same));
       }
       b.setInsertPoint(cb);
 
@@ -289,17 +287,7 @@ private:
         if (!ownedPhi) {
           if (owner(inst) == p) {
             // Clone with original operands; a final fixup pass remaps them.
-            Instruction* clone = m_.createInstruction(inst->op(), inst->type());
-            for (unsigned i = 0; i < inst->numOperands(); ++i)
-              clone->addOperand(inst->operand(i));
-            if (inst->op() == Opcode::Alloca)
-              clone->setAllocaInfo(inst->allocaElemBits(), inst->allocaCount());
-            if (inst->op() == Opcode::Produce || inst->op() == Opcode::Consume ||
-                inst->op() == Opcode::SemRaise || inst->op() == Opcode::SemLower)
-              clone->setChannel(inst->channel());
-            if (inst->op() == Opcode::Call) clone->setCallee(inst->callee());
-            clone->setName(inst->name());
-            instMap[id] = cb->append(clone);
+            instMap[id] = cb->append(cloneInstruction(m_, inst, same));
             b.setInsertPoint(cb);
           } else {
             if (n.valueCh[id] >= 0) {
@@ -423,47 +411,9 @@ DswpResult runDswp(Module& m, const DswpConfig& config) {
   int channelCounter = 0;
   int semCounter = 0;
 
-  // Bottom-up over the call graph (no recursion in the input language).
-  // Iterative post-order with an explicit stack — a deep call chain from
-  // untrusted source must not overflow the native stack — visiting exactly
-  // the order the old recursive DFS produced.
-  std::vector<Function*> order;
-  {
-    std::unordered_set<Function*> visited;
-    auto calleesOf = [](Function* f) {
-      std::vector<Function*> cs;
-      for (auto& bb : f->blocks())
-        for (auto& inst : *bb)
-          if (inst->op() == Opcode::Call) cs.push_back(inst->callee());
-      return cs;
-    };
-    struct DfsNode {
-      Function* f;
-      std::vector<Function*> callees;
-      size_t next = 0;
-    };
-    std::vector<DfsNode> stack;
-    auto dfs = [&](Function* root) {
-      if (!visited.insert(root).second) return;
-      stack.push_back({root, calleesOf(root), 0});
-      while (!stack.empty()) {
-        DfsNode& top = stack.back();
-        if (top.next < top.callees.size()) {
-          Function* c = top.callees[top.next++];
-          if (visited.insert(c).second) stack.push_back({c, calleesOf(c), 0});
-        } else {
-          order.push_back(top.f);
-          stack.pop_back();
-        }
-      }
-    };
-    Function* main = m.findFunction("main");
-    if (main) dfs(main);
-    for (auto& f : m.functions()) dfs(f);
-  }
-
   std::vector<Function*> createdFns;  // partition functions needing cleanup
-  for (Function* f : order) {
+  // Bottom-up over the call graph (no recursion in the input language).
+  for (Function* f : calleesFirst(m)) {
     const bool isMain = f->name() == "main";
     FunctionStats stats;
     stats.name = f->name();

@@ -76,6 +76,9 @@ struct DswpResult {
   std::vector<ChannelInfo> channels;
   std::vector<SemaphoreInfo> semaphores;
   Function* mainMaster = nullptr;
+  /// True only for the pure-HW baseline's one-thread system (the whole
+  /// program in LegUp hardware, src/sim); DSWP keeps main's master in
+  /// software (§5.3).
   bool mainMasterIsHW = false;
   std::vector<FunctionStats> stats;
   /// Wall clock spent building PDGs (summed over functions); lets the

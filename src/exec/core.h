@@ -96,11 +96,6 @@ public:
     return true;
   }
   const std::deque<uint32_t>& queue(int ch) { return queues_[ch]; }
-  size_t totalQueued() const {
-    size_t n = 0;
-    for (auto& [ch, q] : queues_) n += q.size();
-    return n;
-  }
 
 private:
   std::unordered_map<int, std::deque<uint32_t>> queues_;

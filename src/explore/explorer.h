@@ -12,12 +12,13 @@
 // group's first point (keeping the Twill artifacts), then one
 // simulateTwill() per remaining point against those artifacts through a
 // shared SimProgram (one decode per group, the PR 3 schedule cache inside
-// runBenchmark). Pure-SW/HW outcomes are reused across the group — they
-// read only SimConfig::maxCycles (sim/system.cpp runPureLoop), which is not
-// an axis. Groups land in per-index slots and are merged in enumeration
-// order, so the output is identical for any --jobs value. Sharing a
-// SimProgram concurrently would race on its lazy decode cache, which is
-// exactly why sim points stay inside their group's worker.
+// runBenchmark). Pure-SW/HW outcomes are reused across the group — a
+// baseline is a one-thread system, which no sim axis of the space changes
+// (pinned by sim_test's SimBaselineTest). Groups land in per-index slots
+// and are merged in enumeration order, so the output is identical for any
+// --jobs value. Sharing a SimProgram concurrently would race on its lazy
+// decode cache, which is exactly why sim points stay inside their group's
+// worker.
 #pragma once
 
 #include <string>

@@ -23,7 +23,6 @@ struct CType {
   bool isInt() const { return k == K::Int; }
   bool isPtr() const { return k == K::Ptr; }
   bool isArray() const { return k == K::Array; }
-  bool isScalar() const { return isInt() || isPtr(); }
 
   static CType voidTy() { return {K::Void, 0, true, 0}; }
   static CType intTy(unsigned bits, bool isSigned) { return {K::Int, bits, isSigned, 0}; }

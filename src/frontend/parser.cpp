@@ -94,11 +94,6 @@ ExprPtr Parser::zeroExpr(SourceLoc loc) {
   return node;
 }
 
-void Parser::synchronizeToSemi() {
-  while (!check(Tok::End) && !check(Tok::Semi) && !check(Tok::RBrace)) advance();
-  accept(Tok::Semi);
-}
-
 // --- Types ---------------------------------------------------------------------
 
 bool Parser::startsType() const {

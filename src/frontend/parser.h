@@ -29,7 +29,6 @@ private:
   bool accept(Tok k);
   Token expect(Tok k, const char* what);
   void error(const std::string& msg);
-  void synchronizeToSemi();
 
   // Types.
   bool startsType() const;

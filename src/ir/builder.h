@@ -96,4 +96,27 @@ private:
   BasicBlock::iterator pos_;
 };
 
+/// Clones an instruction, detached, with operands and phi incoming blocks
+/// remapped through `mapped` (which returns unmapped values, such as
+/// constants and globals, unchanged).
+template <class MapFn>
+Instruction* cloneInstruction(Module& m, Instruction* inst, MapFn&& mapped) {
+  Instruction* clone = m.createInstruction(inst->op(), inst->type());
+  if (inst->isPhi()) {
+    for (unsigned i = 0; i < inst->numIncoming(); ++i)
+      clone->addIncoming(mapped(inst->incomingValue(i)),
+                         static_cast<BasicBlock*>(mapped(inst->incomingBlock(i))));
+  } else {
+    for (unsigned i = 0; i < inst->numOperands(); ++i) clone->addOperand(mapped(inst->operand(i)));
+  }
+  if (inst->op() == Opcode::Alloca)
+    clone->setAllocaInfo(inst->allocaElemBits(), inst->allocaCount());
+  if (inst->op() == Opcode::Produce || inst->op() == Opcode::Consume ||
+      inst->op() == Opcode::SemRaise || inst->op() == Opcode::SemLower)
+    clone->setChannel(inst->channel());
+  if (inst->op() == Opcode::Call) clone->setCallee(inst->callee());
+  clone->setName(inst->name());
+  return clone;
+}
+
 }  // namespace twill

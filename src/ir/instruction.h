@@ -88,8 +88,6 @@ public:
   // --- Classification -----------------------------------------------------
   bool isTerminator() const { return isTerminatorOp(op_); }
   bool isPhi() const { return op_ == Opcode::Phi; }
-  bool mayReadMemory() const { return op_ == Opcode::Load || op_ == Opcode::Call || op_ == Opcode::Consume; }
-  bool mayWriteMemory() const { return op_ == Opcode::Store || op_ == Opcode::Call; }
   /// True if removing this instruction (when unused) changes behaviour.
   bool hasSideEffects() const;
 

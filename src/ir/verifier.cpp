@@ -1,7 +1,6 @@
 #include "src/ir/verifier.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -394,30 +393,12 @@ std::string verifyToString(Module& m) {
   return diag.str();
 }
 
-namespace {
-
-/// -1 = follow the environment, 0/1 = forced. Relaxed atomics suffice: the
-/// explorer's workers only ever read a value set before the pool started.
-std::atomic<int> gVerifyAfterPasses{-1};
-
-bool envEnablesVerify() {
+bool verifyAfterPassesEnabled() {
   static const bool enabled = [] {
     const char* v = std::getenv("TWILL_VERIFY_IR");
     return v && *v && std::strcmp(v, "0") != 0;
   }();
   return enabled;
-}
-
-}  // namespace
-
-bool verifyAfterPassesEnabled() {
-  const int forced = gVerifyAfterPasses.load(std::memory_order_relaxed);
-  if (forced >= 0) return forced != 0;
-  return envEnablesVerify();
-}
-
-void setVerifyAfterPasses(int enabled) {
-  gVerifyAfterPasses.store(enabled < 0 ? -1 : (enabled ? 1 : 0), std::memory_order_relaxed);
 }
 
 void verifyAfterPass(Module& m, const char* passName) {

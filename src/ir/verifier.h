@@ -17,19 +17,14 @@ bool verifyModule(Module& m, DiagEngine& diag);
 /// Convenience: verify and return the diagnostics text ("" when clean).
 std::string verifyToString(Module& m);
 
-/// True when pass-by-pass IR verification is on: either forced by
-/// setVerifyAfterPasses() or (by default) when the TWILL_VERIFY_IR
+/// True when pass-by-pass IR verification is on: the TWILL_VERIFY_IR
 /// environment variable is set to a non-empty value other than "0". The
 /// ctest environment sets it so every suite exercises the verifier after
 /// every transform pass and after DSWP extraction.
 bool verifyAfterPassesEnabled();
 
-/// Programmatic override of the TWILL_VERIFY_IR environment variable
-/// (tests, tools); -1 restores "env decides".
-void setVerifyAfterPasses(int enabled);
-
 /// When enabled, verifies and aborts with diagnostics on stderr naming the
-/// pass that broke the invariant. No-ops (and costs one atomic load) when
+/// pass that broke the invariant. No-ops (and costs one flag test) when
 /// disabled, so pipelines call it unconditionally.
 void verifyAfterPass(Module& m, const char* passName);
 void verifyAfterPass(Function& f, const char* passName);

@@ -130,7 +130,6 @@ public:
     tail_ = tail_ + 1 == ring_.size() ? 0 : tail_ + 1;
     ++size_;
     ++enqueues_;
-    if (size_ > maxOccupancy_) maxOccupancy_ = size_;
   }
   uint32_t pop() {
     uint32_t v = ring_[head_].value;
@@ -142,7 +141,6 @@ public:
 
   uint64_t enqueues() const { return enqueues_; }
   uint64_t dequeues() const { return dequeues_; }
-  size_t maxOccupancy() const { return maxOccupancy_; }
 
 private:
   struct Elem {
@@ -156,7 +154,6 @@ private:
   size_t size_ = 0;
   uint64_t enqueues_ = 0;
   uint64_t dequeues_ = 0;
-  size_t maxOccupancy_ = 0;
   WaitList consumerWaiters_;
   WaitList producerWaiters_;
 };

@@ -22,21 +22,17 @@ bool wallBudgetSpent(uint64_t startUs, double budgetMs) {
   return static_cast<double>(traceNowUs() - startUs) > budgetMs * 1000;
 }
 
-/// The clock the per-inst scheduler loops keep around SimThread::step(),
-/// inlined for ExecState::runSuper: charge the op (busyUntil/busyCycles),
-/// record progress, advance the clock one step (`cycle = max(cycle + 1,
-/// busyUntil)`), and stop at the budget boundary. Two boundary flavours
-/// exist because the solo-burst loop clamps (`cycle > end` -> cycle = end)
-/// while the pure-SW/HW loops fail outright (`cycle > maxCycles` -> "cycle
-/// limit exceeded"), i.e. they stop the moment the clock *reaches*
-/// end = maxCycles + 1.
+/// The clock the scheduler keeps around SimThread::step(), inlined for
+/// ExecState::runSuper: charge the op (busyUntil/busyCycles), record
+/// progress, advance the clock one step (`cycle = max(cycle + 1,
+/// busyUntil)`), and stop at the burst boundary with the clock clamped to
+/// it (`cycle > end` -> cycle = end), where the scheduler resumes.
 struct BurstClock {
   uint64_t cycle;
   uint64_t end;
   uint64_t lastProgress;
   uint64_t busyUntil;
   uint64_t busyCycles = 0;
-  bool clampAtEnd;  // true: solo-burst semantics; false: pure-loop semantics
 
   bool begin() const { return cycle < end; }
   bool advance(uint64_t cost) {
@@ -44,17 +40,14 @@ struct BurstClock {
     busyCycles += cost;
     lastProgress = cycle;
     cycle = cycle + 1 > busyUntil ? cycle + 1 : busyUntil;
-    if (clampAtEnd) {
-      if (cycle > end) {
-        cycle = end;
-        return false;
-      }
-      return true;
+    if (cycle > end) {
+      cycle = end;
+      return false;
     }
-    return cycle < end;
+    return true;
   }
   /// The finishing Ret is charged but the clock is not advanced past it
-  /// (the per-inst loops `break` before their advance on a dead thread).
+  /// (a finished thread takes no further step).
   void finish(uint64_t cost) {
     busyUntil = cycle + cost;
     busyCycles += cost;
@@ -83,8 +76,9 @@ struct SwCost {
 /// initiation interval.
 class HwCost {
 public:
-  /// `memBus`: Twill's shared memory bus, or null for the pure-HW flow's
-  /// own dual-port block memories.
+  /// `memBus`: Twill's shared memory bus, or null in a system without a
+  /// processor (the pure-HW flow), whose thread owns LegUp's dual-port
+  /// block memories.
   explicit HwCost(BusModel* memBus) : memBus_(memBus) {}
 
   uint64_t op(const SuperOp& so, uint64_t now) {
@@ -168,14 +162,14 @@ struct BurstModel {
 /// never touches the IR or hashes into a ScheduleMap.
 class SimThread {
 public:
-  SimThread(DecodedProgram& prog, Memory& mem, Fabric* fabric, Function* fn, bool isHW,
-            uint32_t token)
-      : port_(fabric ? std::make_unique<ThreadPort>(*fabric, isHW) : nullptr),
-        nullChans_(),
-        state_(prog, mem, port_ ? static_cast<ChannelIO&>(*port_) : nullChans_, fn),
+  /// `memBus`: what a hardware thread's loads and stores contend on (HwCost).
+  SimThread(DecodedProgram& prog, Memory& mem, Fabric& fabric, Function* fn, bool isHW,
+            BusModel* memBus, uint32_t token)
+      : port_(fabric, isHW),
+        state_(prog, mem, port_, fn),
         fabric_(fabric),
         isHW_(isHW),
-        hw_(fabric ? &fabric->memoryBus() : nullptr),
+        hw_(memBus),
         token_(token) {}
 
   std::string describeLocation() const { return state_.describeLocation(); }
@@ -216,7 +210,7 @@ public:
   /// forward progress was made. A blocked attempt parks this thread on the
   /// primitive's wait list so the scheduler can sleep it instead of polling.
   bool step(uint64_t now) {
-    if (port_) port_->now = now;
+    port_.now = now;
     const bool wasBlocked = lastBlocked;
     const int prevChannel = waitChannel;
     const Opcode prevOp = waitOp;
@@ -230,22 +224,22 @@ public:
         stallStart_ = now;
         inStall_ = true;
       } else if (wasBlocked && !lastBlocked && inStall_) {
-        trace_->span(kTracePidSim, token_, traceCat_, traceStall_, stallStart_, now);
+        trace_->span(kTracePidSim, traceRow_, traceCat_, traceStall_, stallStart_, now);
         inStall_ = false;
       }
     }
-    if (wasBlocked && !lastBlocked && fabric_ && prevChannel >= 0) {
+    if (wasBlocked && !lastBlocked && prevChannel >= 0) {
       // The wait was satisfied: unpark, so the next block on this channel
       // registers (and gets woken) afresh.
       switch (prevOp) {
         case Opcode::Consume:
-          fabric_->queue(prevChannel).consumerWaiters().remove(token_);
+          fabric_.queue(prevChannel).consumerWaiters().remove(token_);
           break;
         case Opcode::Produce:
-          fabric_->queue(prevChannel).producerWaiters().remove(token_);
+          fabric_.queue(prevChannel).producerWaiters().remove(token_);
           break;
         case Opcode::SemLower:
-          fabric_->semaphore(prevChannel).lowerWaiters().remove(token_);
+          fabric_.semaphore(prevChannel).lowerWaiters().remove(token_);
           break;
         default:
           break;
@@ -257,10 +251,10 @@ public:
       waitOp = r.op;
       justParked = false;
       waitReadyAt = 0;  // an untracked wait is treated as always satisfiable
-      if (fabric_ && waitChannel >= 0) {
+      if (waitChannel >= 0) {
         switch (waitOp) {
           case Opcode::Consume: {
-            HwQueue& q = fabric_->queue(waitChannel);
+            HwQueue& q = fabric_.queue(waitChannel);
             justParked = q.consumerWaiters().park(token_);
             // Empty: wait for a produce event. Invisible front: the wait
             // satisfies itself at the element's visibility cycle.
@@ -268,11 +262,11 @@ public:
             break;
           }
           case Opcode::Produce:
-            justParked = fabric_->queue(waitChannel).producerWaiters().park(token_);
+            justParked = fabric_.queue(waitChannel).producerWaiters().park(token_);
             waitReadyAt = UINT64_MAX;  // wait for a consume event
             break;
           case Opcode::SemLower:
-            justParked = fabric_->semaphore(waitChannel).lowerWaiters().park(token_);
+            justParked = fabric_.semaphore(waitChannel).lowerWaiters().park(token_);
             waitReadyAt = UINT64_MAX;  // wait for a raise event
             break;
           default:
@@ -293,11 +287,12 @@ public:
     return true;
   }
 
-  /// Arms the cycle-domain trace hooks (pre-interned ids so the hot step
-  /// path never touches the intern table).
-  void setTrace(TraceRecorder* rec, TraceRecorder::StrId cat, TraceRecorder::StrId stallName,
-                TraceRecorder::StrId runName) {
+  /// Arms the cycle-domain trace hooks on trace row `row` (pre-interned ids
+  /// so the hot step path never touches the intern table).
+  void setTrace(TraceRecorder* rec, uint32_t row, TraceRecorder::StrId cat,
+                TraceRecorder::StrId stallName, TraceRecorder::StrId runName) {
     trace_ = rec;
+    traceRow_ = row;
     traceCat_ = cat;
     traceStall_ = stallName;
     traceRun_ = runName;
@@ -308,10 +303,11 @@ public:
   void closeTrace(uint64_t endCycle) {
     if (!trace_) return;
     if (inStall_) {
-      trace_->span(kTracePidSim, token_, traceCat_, traceStall_, stallStart_, endCycle);
+      trace_->span(kTracePidSim, traceRow_, traceCat_, traceStall_, stallStart_, endCycle);
       inStall_ = false;
     }
-    trace_->span(kTracePidSim, token_, traceCat_, traceRun_, 0, std::max(busyUntil, endCycle));
+    trace_->span(kTracePidSim, traceRow_, traceCat_, traceRun_, 0,
+                 std::max(busyUntil, endCycle));
   }
 
   /// True when the next instruction can run on the superblock tier (not a
@@ -321,23 +317,18 @@ public:
   /// Superblock fast path: executes straight-line traces, fused branches
   /// and calls back-to-back, charged through the same cost policy as
   /// step(). Returns at the next channel operation (kNeedStep), on
-  /// completion/trap, or when the clock reaches `end` (kBudget).
-  /// `clampAtEnd` selects the solo-burst boundary semantics (clamp the clock
-  /// to `end`); the pure flows pass false with end = maxCycles + 1 so the
-  /// limit diagnostic fires on the same cycle.
-  SuperRunStatus runSuper(uint64_t& cycle, uint64_t end, uint64_t& lastProgress,
-                          bool clampAtEnd) {
-    const BurstClock clk{cycle, end, lastProgress, busyUntil, 0, clampAtEnd};
+  /// completion/trap, or at the burst boundary (kBudget, the clock clamped
+  /// to `end`).
+  SuperRunStatus runBurst(uint64_t& cycle, uint64_t end, uint64_t& lastProgress) {
     SwCost sw;
-    return isHW_ ? runBurst(hw_, clk, cycle, lastProgress)
-                 : runBurst(sw, clk, cycle, lastProgress);
+    return isHW_ ? burstWith(hw_, cycle, end, lastProgress)
+                 : burstWith(sw, cycle, end, lastProgress);
   }
 
 private:
   template <class Cost>
-  SuperRunStatus runBurst(Cost& cost, const BurstClock& clk, uint64_t& cycle,
-                          uint64_t& lastProgress) {
-    BurstModel<Cost> m{clk, cost};
+  SuperRunStatus burstWith(Cost& cost, uint64_t& cycle, uint64_t end, uint64_t& lastProgress) {
+    BurstModel<Cost> m{{cycle, end, lastProgress, busyUntil}, cost};
     const SuperRunStatus rs = state_.runSuper(m);
     cycle = m.clk.cycle;
     lastProgress = m.clk.lastProgress;
@@ -362,8 +353,7 @@ private:
       case Opcode::SemRaise:
       case Opcode::SemLower: {
         ++queueOps;
-        const unsigned c = port_ ? port_->lastCost : 1;
-        return isHW_ ? hw_.channelOp(c) : SwCost::channelOp(c);
+        return isHW_ ? hw_.channelOp(port_.lastCost) : SwCost::channelOp(port_.lastCost);
       }
       default:
         return isHW_ ? hw_.inst(*d, now) : SwCost::inst(*d, now);
@@ -371,16 +361,16 @@ private:
   }
 
   TraceRecorder* trace_ = nullptr;
+  uint32_t traceRow_ = 0;
   TraceRecorder::StrId traceCat_ = TraceRecorder::kNoStr;
   TraceRecorder::StrId traceStall_ = TraceRecorder::kNoStr;
   TraceRecorder::StrId traceRun_ = TraceRecorder::kNoStr;
   uint64_t stallStart_ = 0;
   bool inStall_ = false;
 
-  std::unique_ptr<ThreadPort> port_;
-  FunctionalChannels nullChans_;  // for baseline runs without a fabric
+  ThreadPort port_;
   ExecState state_;
-  Fabric* fabric_;
+  Fabric& fabric_;
   bool isHW_;
   HwCost hw_;  // the hardware policy's state (unused by software threads)
   uint32_t token_;
@@ -417,116 +407,27 @@ struct PhaseTracer {
   }
 };
 
-/// Single-thread loop of the pure-SW/HW baselines on the superblock tier.
-/// Timing-identical to the historical per-inst loop (`step; cycle =
-/// max(cycle + 1, busyUntil); fail when cycle > maxCycles`). Returns false
-/// when the cycle limit was exceeded, or — with `wallBreach` set — when the
-/// wall-clock budget expired first.
-bool runPureLoop(SimThread& t, const SimConfig& cfg, bool& wallBreach) {
-  uint64_t cycle = 0;
-  uint64_t lastProgress = 0;  // unused by the baselines
-  const uint64_t limit = cfg.maxCycles == UINT64_MAX ? UINT64_MAX : cfg.maxCycles + 1;
-  const uint64_t wallStartUs = traceNowUs();
-  uint64_t nextWallCheck = kWallCheckCycles;
-  while (!t.finished() && !t.trapped()) {
-    // With a wall budget the superblock run is chunked so the deadline is
-    // observed between chunks; a non-terminating program would otherwise
-    // spin inside a single runSuper call until the full cycle limit.
-    uint64_t end = limit;
-    if (cfg.wallBudgetMs > 0 && end - cycle > kWallCheckCycles) end = cycle + kWallCheckCycles;
-    const SuperRunStatus rs = t.runSuper(cycle, end, lastProgress, /*clampAtEnd=*/false);
-    if (rs == SuperRunStatus::kBudget) {
-      if (cfg.wallBudgetMs > 0 && wallBudgetSpent(wallStartUs, cfg.wallBudgetMs)) {
-        wallBreach = true;
-        return false;
-      }
-      if (end == limit) return false;  // genuine cycle-limit breach
-      continue;
-    }
-    if (rs == SuperRunStatus::kNeedStep) {
-      // Channel op (absorbed by FunctionalChannels in a baseline) or a
-      // poisoned record: one per-inst iteration, old loop semantics.
-      if (cycle >= t.busyUntil) t.step(cycle);
-    }
-    // The historical loop advanced the clock and checked the limit after
-    // every iteration — including the finishing/trapping one.
-    cycle = std::max(cycle + 1, t.busyUntil);
-    if (cycle > cfg.maxCycles) return false;
-    if (cfg.wallBudgetMs > 0 && cycle >= nextWallCheck) {
-      nextWallCheck = cycle + kWallCheckCycles;
-      if (wallBudgetSpent(wallStartUs, cfg.wallBudgetMs)) {
-        wallBreach = true;
-        return false;
-      }
-    }
-  }
-  return true;
-}
+/// Sim trace rows: each flow numbers its threads from its own base, with its
+/// scheduler row right after them, so the three flows of one traced
+/// runBenchmark share a recorder without sharing a row. A baseline system
+/// has two rows, clear of any Twill system under 1000 threads.
+constexpr uint32_t kTwillRows = 0;
+constexpr uint32_t kPureSWRows = 1000;
+constexpr uint32_t kPureHWRows = 1002;
 
-/// Body of both baselines: the original module as one context, on the
-/// Microblaze model, or — given `schedules` — as one hardware FSM with its
-/// own block memories.
-SimOutcome simulatePure(Module& m, const ScheduleMap* schedules, const SimConfig& cfg) {
+/// The co-simulation loop of all three flows. `dswp` names the system's
+/// threads: its main master (on processor 0, or a hardware thread when
+/// `mainMasterIsHW`) and the extracted slaves. A baseline is a one-thread
+/// system on an empty fabric (see mainAlone). `schedules` is null for a
+/// system without hardware threads; `shared` (Twill only) reuses a
+/// pre-decoded program across runs.
+SimOutcome runSystem(Module& m, const DswpResult& dswp, const SimConfig& cfg,
+                     const ScheduleMap* schedules, SimProgram* shared, uint32_t rowBase) {
   SimOutcome out;
-  const bool isHW = schedules != nullptr;
-  Function* main = m.findFunction("main");
-  if (!main) {
+  if (!dswp.mainMaster) {
     out.message = "no main";
     return out;
   }
-  Memory mem(cfg.memoryBytes);
-  Layout layout;
-  if (!layout.build(m, mem)) {
-    out.message = layout.error;
-    out.resourceBreach = true;
-    return out;
-  }
-  DecodedProgram prog(m, layout, schedules);
-  // The token doubles as the trace row id; without a fabric it has no other
-  // use, so the baseline rows get fixed ids clear of Twill thread tokens.
-  const uint32_t token = isHW ? 1001 : 1000;
-  SimThread t(prog, mem, nullptr, main, isHW, token);
-  bool wallBreach = false;
-  // The baselines run a single context on a dedicated trace row; a whole-run
-  // span (in cycles) is emitted on every exit path by the closer below.
-  if (cfg.trace) {
-    cfg.trace->setProcessName(kTracePidSim, "sim (cycles)");
-    cfg.trace->setThreadName(kTracePidSim, token, isHW ? "pure-HW" : "pure-SW");
-    t.setTrace(cfg.trace, cfg.trace->intern("thread"), cfg.trace->intern("stall"),
-               cfg.trace->intern("run"));
-  }
-  struct Closer {
-    SimThread& t;
-    ~Closer() { t.closeTrace(t.busyUntil); }
-  } closer{t};
-  if (!runPureLoop(t, cfg, wallBreach)) {
-    out.resourceBreach = wallBreach;
-    out.message = wallBreach ? "wall-clock budget exceeded (" +
-                                   std::to_string(cfg.wallBudgetMs) + " ms)"
-                             : "cycle limit exceeded";
-    return out;
-  }
-  if (t.trapped()) {
-    out.message = "trap: " + t.trapMessage();
-    return out;
-  }
-  out.ok = true;
-  out.result = t.result();
-  out.cycles = t.busyUntil;
-  (isHW ? out.retiredHW : out.retiredSW) = t.retired();
-  (isHW ? out.hwBusy : out.cpuBusy) = t.busyCycles;
-  return out;
-}
-
-}  // namespace
-
-SimProgram::SimProgram(Module& m, const ScheduleMap& schedules)
-    : prog(std::make_unique<DecodedProgram>(m, layout, &schedules)) {}
-SimProgram::~SimProgram() = default;
-
-SimOutcome simulateTwill(Module& m, const DswpResult& dswp, const SimConfig& cfg,
-                         const ScheduleMap& schedules, SimProgram* shared) {
-  SimOutcome out;
   Memory mem(cfg.memoryBytes);
   // Layout::build is deterministic and idempotent for a fixed module: with a
   // shared program it re-assigns the same addresses and (re)writes the
@@ -539,7 +440,7 @@ SimOutcome simulateTwill(Module& m, const DswpResult& dswp, const SimConfig& cfg
     return out;
   }
   std::unique_ptr<DecodedProgram> ownProg;
-  if (!shared) ownProg = std::make_unique<DecodedProgram>(m, layout, &schedules);
+  if (!shared) ownProg = std::make_unique<DecodedProgram>(m, layout, schedules);
   DecodedProgram& prog = shared ? *shared->prog : *ownProg;
 
   FabricConfig fc;
@@ -549,9 +450,14 @@ SimOutcome simulateTwill(Module& m, const DswpResult& dswp, const SimConfig& cfg
   for (const auto& ch : dswp.channels) fabric.addQueue(ch.id);
   for (const auto& s : dswp.semaphores) fabric.addSemaphore(s.id, s.initialCount);
 
-  // Threads: index 0 = main master (software); slaves per their domain.
-  // Tokens index the combined `all` vector (wait lists and the wake heap
-  // refer to threads by token).
+  // A system whose main master is hardware has no processor and no shared
+  // memory bus: LegUp's whole-program flow, its loads and stores on the
+  // thread's own dual-port block memories.
+  BusModel* const hwMemBus = dswp.mainMasterIsHW ? nullptr : &fabric.memoryBus();
+
+  // Threads: index 0 = main master; slaves per their domain. Tokens index
+  // the combined `all` vector (wait lists and the wake heap refer to
+  // threads by token).
   std::vector<std::unique_ptr<SimThread>> swThreads;
   std::vector<std::unique_ptr<SimThread>> hwThreads;
   std::vector<SimThread*> all;
@@ -560,18 +466,18 @@ SimOutcome simulateTwill(Module& m, const DswpResult& dswp, const SimConfig& cfg
     bool isHW;
   };
   std::vector<PendingThread> order;
-  order.push_back({dswp.mainMaster, false});
+  order.push_back({dswp.mainMaster, dswp.mainMasterIsHW});
   for (const auto& t : dswp.threads) {
     if (t.fn == dswp.mainMaster) continue;
     order.push_back({t.fn, t.isHW});
   }
   for (const auto& pt : order) {
-    auto st = std::make_unique<SimThread>(prog, mem, &fabric, pt.fn, pt.isHW,
+    auto st = std::make_unique<SimThread>(prog, mem, fabric, pt.fn, pt.isHW, hwMemBus,
                                           static_cast<uint32_t>(all.size()));
     all.push_back(st.get());
     (pt.isHW ? hwThreads : swThreads).push_back(std::move(st));
   }
-  SimThread* mainThread = swThreads[0].get();
+  SimThread* const mainThread = all[0];
   // Raw views for the per-cycle loops (skip the unique_ptr indirection).
   std::vector<SimThread*> swRaw, hwRaw;
   for (auto& t : swThreads) swRaw.push_back(t.get());
@@ -615,14 +521,14 @@ SimOutcome simulateTwill(Module& m, const DswpResult& dswp, const SimConfig& cfg
     seriesItems = rec->intern("items");
     rec->setProcessName(kTracePidSim, "sim (cycles)");
     for (size_t i = 0; i < order.size(); ++i)
-      rec->setThreadName(kTracePidSim, static_cast<uint32_t>(i),
+      rec->setThreadName(kTracePidSim, rowBase + static_cast<uint32_t>(i),
                          std::string(order[i].isHW ? "HW " : "SW ") + order[i].fn->name());
-    rec->setThreadName(kTracePidSim, static_cast<uint32_t>(all.size()), "scheduler");
+    rec->setThreadName(kTracePidSim, rowBase + static_cast<uint32_t>(all.size()), "scheduler");
     for (const auto& ch : dswp.channels)
       chanNames[ch.id] = rec->intern("ch" + std::to_string(ch.id) + " occupancy");
-    for (SimThread* t : all) t->setTrace(rec, catThread, nameStall, nameRun);
+    for (SimThread* t : all) t->setTrace(rec, rowBase + t->token(), catThread, nameStall, nameRun);
     phases.rec = rec;
-    phases.tid = static_cast<uint32_t>(all.size());
+    phases.tid = rowBase + static_cast<uint32_t>(all.size());
     phases.cat = catSched;
     phases.burstName = rec->intern("burst");
     phases.perInstName = rec->intern("per-inst");
@@ -689,7 +595,7 @@ SimOutcome simulateTwill(Module& m, const DswpResult& dswp, const SimConfig& cfg
         if (!q.empty()) {
           const uint64_t vis = q.frontVisibleAt();
           wakeHeap.push({vis, t->token()});
-          if (rec) rec->instant(kTracePidSim, t->token(), catSched, nameWake, vis);
+          if (rec) rec->instant(kTracePidSim, rowBase + t->token(), catSched, nameWake, vis);
         }
       }
       return;
@@ -702,7 +608,7 @@ SimOutcome simulateTwill(Module& m, const DswpResult& dswp, const SimConfig& cfg
         q.consumerWaiters().drain([&](uint32_t tok) {
           all[tok]->waitReadyAt = vis;
           wakeHeap.push({vis, tok});
-          if (rec) rec->instant(kTracePidSim, tok, catSched, nameWake, vis);
+          if (rec) rec->instant(kTracePidSim, rowBase + tok, catSched, nameWake, vis);
         });
         break;
       }
@@ -711,7 +617,7 @@ SimOutcome simulateTwill(Module& m, const DswpResult& dswp, const SimConfig& cfg
         q.producerWaiters().drain([&](uint32_t tok) {
           all[tok]->waitReadyAt = cycle;
           wakeHeap.push({cycle, tok});
-          if (rec) rec->instant(kTracePidSim, tok, catSched, nameWake, cycle);
+          if (rec) rec->instant(kTracePidSim, rowBase + tok, catSched, nameWake, cycle);
         });
         break;
       }
@@ -719,7 +625,7 @@ SimOutcome simulateTwill(Module& m, const DswpResult& dswp, const SimConfig& cfg
         fabric.semaphore(r.dinst->channel).lowerWaiters().drain([&](uint32_t tok) {
           all[tok]->waitReadyAt = cycle;
           wakeHeap.push({cycle, tok});
-          if (rec) rec->instant(kTracePidSim, tok, catSched, nameWake, cycle);
+          if (rec) rec->instant(kTracePidSim, rowBase + tok, catSched, nameWake, cycle);
         });
         break;
       }
@@ -877,6 +783,8 @@ SimOutcome simulateTwill(Module& m, const DswpResult& dswp, const SimConfig& cfg
       out.message = trapMessage();
       return out;
     }
+    // The run ends on the cycle the main master's last op issues.
+    if (mainThread->finished()) break;
 
     // --- Advance + burst candidate ------------------------------------------
     // Completes the sweep the hardware phase started: (a) the seed
@@ -891,7 +799,7 @@ SimOutcome simulateTwill(Module& m, const DswpResult& dswp, const SimConfig& cfg
     // runnable-set semantics are time-of-advance; time-driven wake-ups of
     // sleeping threads are covered by the min-heap, which also bounds the
     // burst.
-    bool canBurst = !mainThread->finished() && activeCount <= 1;
+    bool canBurst = activeCount <= 1;
     for (Proc& proc : procs) {
       bool curRun = false;
       bool otherRun = false;
@@ -988,8 +896,7 @@ SimOutcome simulateTwill(Module& m, const DswpResult& dswp, const SimConfig& cfg
             // branches and calls with the per-step accounting inlined (see
             // the burst models), returning only at the next channel
             // interaction, completion, or the burst boundary.
-            const SuperRunStatus rs =
-                solo->runSuper(cycle, burstEnd, lastProgress, /*clampAtEnd=*/true);
+            const SuperRunStatus rs = solo->runBurst(cycle, burstEnd, lastProgress);
             if (rs == SuperRunStatus::kFinished || rs == SuperRunStatus::kTrapped) {
               afterStep(solo);
               break;
@@ -1048,12 +955,32 @@ SimOutcome simulateTwill(Module& m, const DswpResult& dswp, const SimConfig& cfg
   return out;
 }
 
+/// A baseline system: `main` alone, on processor 0 (pure SW) or as a
+/// hardware thread (pure HW).
+DswpResult mainAlone(Module& m, bool isHW) {
+  DswpResult sys;
+  sys.mainMaster = m.findFunction("main");
+  sys.mainMasterIsHW = isHW;
+  return sys;
+}
+
+}  // namespace
+
+SimProgram::SimProgram(Module& m, const ScheduleMap& schedules)
+    : prog(std::make_unique<DecodedProgram>(m, layout, &schedules)) {}
+SimProgram::~SimProgram() = default;
+
+SimOutcome simulateTwill(Module& m, const DswpResult& dswp, const SimConfig& cfg,
+                         const ScheduleMap& schedules, SimProgram* shared) {
+  return runSystem(m, dswp, cfg, &schedules, shared, kTwillRows);
+}
+
 SimOutcome simulatePureSW(Module& m, const SimConfig& cfg) {
-  return simulatePure(m, nullptr, cfg);
+  return runSystem(m, mainAlone(m, false), cfg, nullptr, nullptr, kPureSWRows);
 }
 
 SimOutcome simulatePureHW(Module& m, const ScheduleMap& schedules, const SimConfig& cfg) {
-  return simulatePure(m, &schedules, cfg);
+  return runSystem(m, mainAlone(m, true), cfg, &schedules, nullptr, kPureHWRows);
 }
 
 }  // namespace twill

@@ -1,7 +1,8 @@
 // Cycle-level co-simulation of a Twill system: one Microblaze-like
 // processor running the software threads under the hardware round-robin
 // scheduler, plus one executor per hardware thread, all sharing the runtime
-// fabric and processor memory.
+// fabric and processor memory. The pure-SW and pure-HW baselines run on the
+// same scheduler loop, as one-thread systems.
 //
 // Execution is functionally exact (every engine steps the same IR through
 // the shared eval semantics); timing is charged per the thesis's model:
@@ -97,12 +98,17 @@ struct SimProgram {
 SimOutcome simulateTwill(Module& m, const DswpResult& dswp, const SimConfig& cfg,
                          const ScheduleMap& schedules, SimProgram* shared = nullptr);
 
-/// Pure-software baseline: the original (un-extracted) module on the
-/// Microblaze model alone.
+/// Pure-software baseline: the original (un-extracted) module's `main` as
+/// the only thread of a Twill system, on processor 0 with an empty fabric.
+/// A one-thread system never switches context or touches a queue, so the
+/// outcome does not depend on the queue, processor or quantum knobs.
 SimOutcome simulatePureSW(Module& m, const SimConfig& cfg = {});
 
-/// Pure-hardware baseline ("LegUp flow"): the whole original module as one
-/// hardware FSM with its own block memories (no runtime fabric).
+/// Pure-hardware baseline ("LegUp flow"): the original module's `main` as
+/// the only thread of a Twill system, a hardware thread
+/// (DswpResult::mainMasterIsHW) whose loads and stores go to its own
+/// dual-port block memories instead of the shared memory bus. Like the
+/// pure-SW baseline, it ignores the queue, processor and quantum knobs.
 SimOutcome simulatePureHW(Module& m, const ScheduleMap& schedules, const SimConfig& cfg = {});
 
 }  // namespace twill

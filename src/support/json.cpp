@@ -127,50 +127,6 @@ const JsonValue* JsonValue::get(const std::string& key) const {
   return nullptr;
 }
 
-JsonValue JsonValue::makeBool(bool b) {
-  JsonValue v;
-  v.kind_ = Kind::Bool;
-  v.bool_ = b;
-  return v;
-}
-
-JsonValue JsonValue::makeNumber(double d) {
-  JsonValue v;
-  v.kind_ = Kind::Number;
-  v.number_ = d;
-  return v;
-}
-
-JsonValue JsonValue::makeUnsigned(uint64_t u) {
-  JsonValue v;
-  v.kind_ = Kind::Number;
-  v.number_ = static_cast<double>(u);
-  v.exactUnsigned_ = true;
-  v.unsigned_ = u;
-  return v;
-}
-
-JsonValue JsonValue::makeString(std::string s) {
-  JsonValue v;
-  v.kind_ = Kind::String;
-  v.string_ = std::move(s);
-  return v;
-}
-
-JsonValue JsonValue::makeArray(std::vector<JsonValue> items) {
-  JsonValue v;
-  v.kind_ = Kind::Array;
-  v.items_ = std::move(items);
-  return v;
-}
-
-JsonValue JsonValue::makeObject(std::vector<std::pair<std::string, JsonValue>> members) {
-  JsonValue v;
-  v.kind_ = Kind::Object;
-  v.members_ = std::move(members);
-  return v;
-}
-
 /// Recursive-descent parser over a byte range. Recursion depth equals
 /// document nesting depth and is capped before every descent, so the native
 /// stack stays bounded for any input.

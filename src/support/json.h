@@ -96,14 +96,6 @@ class JsonValue {
   /// Object member lookup; nullptr when absent or this is not an object.
   const JsonValue* get(const std::string& key) const;
 
-  static JsonValue makeNull() { return JsonValue(); }
-  static JsonValue makeBool(bool b);
-  static JsonValue makeNumber(double d);
-  static JsonValue makeUnsigned(uint64_t u);
-  static JsonValue makeString(std::string s);
-  static JsonValue makeArray(std::vector<JsonValue> items);
-  static JsonValue makeObject(std::vector<std::pair<std::string, JsonValue>> members);
-
  private:
   friend class JsonParser;
   Kind kind_ = Kind::Null;

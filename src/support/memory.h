@@ -30,7 +30,6 @@ public:
   /// constant on every engine.
   uint32_t load(uint32_t addr, uint32_t bytes) const {
     check(addr, bytes);
-    ++loads_;
 #if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
     if (bytes == 4) {
       uint32_t v;
@@ -51,7 +50,6 @@ public:
   /// Stores the low `bytes` of `value` little-endian.
   void store(uint32_t addr, uint32_t bytes, uint32_t value) {
     check(addr, bytes);
-    ++stores_;
 #if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
     if (bytes == 4) {
       std::memcpy(bytes_ + addr, &value, 4);
@@ -82,10 +80,6 @@ public:
 
   void clear() { std::memset(bytes_, 0, size_); }
 
-  /// Number of loads/stores performed, for activity-based power modelling.
-  uint64_t loadCount() const { return loads_; }
-  uint64_t storeCount() const { return stores_; }
-
   static constexpr uint32_t kDefaultSize = 4u << 20;  // 4 MiB
 
 private:
@@ -101,8 +95,6 @@ private:
   uint32_t size_;
   bool mmapped_ = false;
   uint8_t* bytes_;
-  mutable uint64_t loads_ = 0;
-  uint64_t stores_ = 0;
 };
 
 }  // namespace twill

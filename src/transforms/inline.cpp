@@ -4,6 +4,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "src/analysis/cfg.h"
 #include "src/ir/builder.h"
 #include "src/transforms/passes.h"
 
@@ -16,28 +17,6 @@ std::vector<Instruction*> callSitesIn(Function& f) {
     for (auto& inst : *bb)
       if (inst->op() == Opcode::Call) calls.push_back(inst);
   return calls;
-}
-
-/// Clones an instruction with operands remapped through `mapped` (identity
-/// for unmapped values such as constants and globals).
-template <class MapFn>
-Instruction* cloneInstruction(Module& m, Instruction* inst, MapFn&& mapped) {
-  Instruction* clone = m.createInstruction(inst->op(), inst->type());
-  if (inst->isPhi()) {
-    for (unsigned i = 0; i < inst->numIncoming(); ++i)
-      clone->addIncoming(mapped(inst->incomingValue(i)),
-                         static_cast<BasicBlock*>(mapped(inst->incomingBlock(i))));
-  } else {
-    for (unsigned i = 0; i < inst->numOperands(); ++i) clone->addOperand(mapped(inst->operand(i)));
-  }
-  if (inst->op() == Opcode::Alloca)
-    clone->setAllocaInfo(inst->allocaElemBits(), inst->allocaCount());
-  if (inst->op() == Opcode::Produce || inst->op() == Opcode::Consume ||
-      inst->op() == Opcode::SemRaise || inst->op() == Opcode::SemLower)
-    clone->setChannel(inst->channel());
-  if (inst->op() == Opcode::Call) clone->setCallee(inst->callee());
-  clone->setName(inst->name());
-  return clone;
 }
 
 /// Inlines one call site. Returns true on success.
@@ -219,39 +198,8 @@ bool removeDeadFunctions(Module& m) {
 bool globalsToArgs(Module& m) {
   Function* main = m.findFunction("main");
 
-  // Call graph in callee-first order (inputs are recursion-free). Iterative
-  // post-order with an explicit stack — a deep call chain from untrusted
-  // source must not overflow the native stack — visiting exactly the order
-  // the old recursive DFS produced.
-  std::vector<Function*> order;
-  std::unordered_set<Function*> visited;
-  auto calleesOf = [](Function* f) {
-    std::vector<Function*> cs;
-    for (auto& bb : f->blocks())
-      for (auto& inst : *bb)
-        if (inst->op() == Opcode::Call) cs.push_back(inst->callee());
-    return cs;
-  };
-  struct DfsNode {
-    Function* f;
-    std::vector<Function*> callees;
-    size_t next = 0;
-  };
-  std::vector<DfsNode> stack;
-  for (auto& froot : m.functions()) {
-    if (!visited.insert(froot).second) continue;
-    stack.push_back({froot, calleesOf(froot), 0});
-    while (!stack.empty()) {
-      DfsNode& top = stack.back();
-      if (top.next < top.callees.size()) {
-        Function* c = top.callees[top.next++];
-        if (visited.insert(c).second) stack.push_back({c, calleesOf(c), 0});
-      } else {
-        order.push_back(top.f);
-        stack.pop_back();
-      }
-    }
-  }
+  // Callees first, so a call site sees its callee's global list complete.
+  const std::vector<Function*> order = calleesFirst(m);
 
   // Globals used per function (direct + transitive through calls).
   std::unordered_map<Function*, std::vector<GlobalVar*>> used;

@@ -60,14 +60,11 @@ bool globalsToArgs(Module& m);
 void runDefaultPipeline(Module& m, unsigned inlineThreshold = 100,
                         uint64_t maxIrInstructions = 0);
 
-/// Cleanup-only pipeline (no inlining, no globals rewrite); used after the
-/// DSWP extractor generates partition functions.
-void runCleanupPipeline(Module& m);
-
-/// Scoped variant: cleans up only `fns` (the functions a transform actually
-/// created or rewrote) instead of sweeping the whole module. Untouched
-/// functions are already at the runDefaultPipeline fixpoint, so skipping
-/// them changes nothing but the time spent.
+/// Cleanup-only pipeline (no inlining, no globals rewrite) over `fns`, the
+/// functions a transform created or rewrote; the DSWP extractor runs it on
+/// the partition functions it generates. Untouched functions are already at
+/// the runDefaultPipeline fixpoint, so sweeping them would change nothing
+/// but the time spent.
 void runCleanupPipeline(Module& m, Span<Function* const> fns);
 
 }  // namespace twill

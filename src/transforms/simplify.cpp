@@ -509,10 +509,6 @@ void cleanupFunction(Module& m, Function& f) {
 }
 }  // namespace
 
-void runCleanupPipeline(Module& m) {
-  for (auto& f : m.functions()) cleanupFunction(m, *f);
-}
-
 void runCleanupPipeline(Module& m, Span<Function* const> fns) {
   for (Function* f : fns) cleanupFunction(m, *f);
 }

@@ -18,7 +18,6 @@ TEST(HwQueueTest, FifoOrderAndCapacity) {
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.enqueues(), 4u);
   EXPECT_EQ(q.dequeues(), 4u);
-  EXPECT_EQ(q.maxOccupancy(), 4u);
 }
 
 TEST(HwQueueTest, VisibilityLatency) {

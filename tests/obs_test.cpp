@@ -4,6 +4,8 @@
 // traces (byte-identical across repeated runs of the same configuration).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -11,6 +13,7 @@
 #include "src/driver/driver.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/support/json.h"
 
 namespace {
 
@@ -224,6 +227,46 @@ TEST(SimTraceTest, RepeatedSimulationProducesByteIdenticalTraces) {
   EXPECT_NE(first.find("\"pid\":2"), std::string::npos);
   EXPECT_EQ(countOccurrences(first, "\"ph\":\"B\""), countOccurrences(first, "\"ph\":\"E\""));
   EXPECT_NE(first.find("scheduler"), std::string::npos);
+}
+
+// The three flows of one traced runBenchmark share the sim clock domain, so
+// each numbers its rows from its own base: every row with an event carries
+// exactly one name, and each flow has its own scheduler row.
+TEST(SimTraceTest, EachFlowOfOneReportHasItsOwnRows) {
+  const char* kProgram =
+      "int acc[8];\n"
+      "int main(void) { int t = 0;\n"
+      "  for (int i = 0; i < 8; i++) { acc[i] = acc[i] * 3 + i; t += acc[i] >> 1; }\n"
+      "  return t; }\n";
+  TraceRecorder rec;
+  twill::DriverOptions opts;
+  opts.dswp.numPartitions = 2;
+  opts.sim.trace = &rec;
+  const twill::BenchmarkReport rep = twill::runBenchmark("obs-rows", kProgram, opts);
+  ASSERT_TRUE(rep.ok) << rep.error;
+
+  twill::JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(twill::parseJson(rec.toJson(), doc, error)) << error;
+  const twill::JsonValue* events = doc.get("traceEvents");
+  ASSERT_NE(events, nullptr);
+  std::map<uint64_t, int> names;  // sim row -> thread_name count
+  std::set<uint64_t> eventRows;
+  int schedulerRows = 0;
+  for (const twill::JsonValue& e : events->items()) {
+    if (e.get("pid")->asUnsigned() != twill::kTracePidSim || !e.get("tid")) continue;
+    const uint64_t tid = e.get("tid")->asUnsigned();
+    const std::string& ph = e.get("ph")->asString();
+    if (ph == "M" && e.get("name")->asString() == "thread_name") {
+      ++names[tid];
+      if (e.get("args")->get("name")->asString() == "scheduler") ++schedulerRows;
+    } else if (ph == "B" || ph == "E" || ph == "I") {
+      eventRows.insert(tid);
+    }
+  }
+  EXPECT_FALSE(eventRows.empty());
+  for (uint64_t tid : eventRows) EXPECT_EQ(names[tid], 1) << "sim row " << tid;
+  EXPECT_EQ(schedulerRows, 3);
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 // results, only cycles).
 #include <gtest/gtest.h>
 
+#include <chrono>
+
+#include "src/chstone/kernels.h"
 #include "src/frontend/lower.h"
 #include "src/ir/interp.h"
 #include "src/sim/system.h"
@@ -261,6 +264,114 @@ TEST(SimActivityTest, CountersArePlausible) {
   EXPECT_GT(o.retiredSW + o.retiredHW, 0u);
   EXPECT_LE(o.cpuBusy, o.cycles);  // one processor cannot exceed wall cycles
   EXPECT_EQ(o.busMessages, o.queueOps);  // every queue/sem op is one message
+}
+
+// A baseline is a one-thread system on the Twill scheduler, so its outcome
+// must not depend on what only a multi-thread system exercises: queue
+// sizing and latency, the processor count, the scheduler quantum, or a
+// deadlock window that cuts every burst short. twilld's compile cache key
+// and the explorer's compile groups reuse baseline outcomes across these
+// axes.
+void expectSameOutcome(const SimOutcome& a, const SimOutcome& b, const std::string& what) {
+  EXPECT_EQ(a.ok, b.ok) << what;
+  EXPECT_EQ(a.resourceBreach, b.resourceBreach) << what;
+  EXPECT_EQ(a.message, b.message) << what;
+  EXPECT_EQ(a.result, b.result) << what;
+  EXPECT_EQ(a.cycles, b.cycles) << what;
+  EXPECT_EQ(a.busMessages, b.busMessages) << what;
+  EXPECT_EQ(a.memBusMessages, b.memBusMessages) << what;
+  EXPECT_EQ(a.retiredSW, b.retiredSW) << what;
+  EXPECT_EQ(a.retiredHW, b.retiredHW) << what;
+  EXPECT_EQ(a.contextSwitches, b.contextSwitches) << what;
+  EXPECT_EQ(a.queueOps, b.queueOps) << what;
+  EXPECT_EQ(a.cpuBusy, b.cpuBusy) << what;
+  EXPECT_EQ(a.hwBusy, b.hwBusy) << what;
+}
+
+TEST(SimBaselineTest, OutcomeIgnoresTwillOnlyAxesAndTheDeadlockWindow) {
+  std::vector<std::pair<std::string, SimConfig>> configs;
+  for (unsigned cap : {1u, 64u})
+    for (unsigned lat : {0u, 128u})
+      for (unsigned procs : {1u, 4u})
+        for (unsigned quantum : {0u, 1u, 100000u}) {
+          SimConfig c;
+          c.queueCapacity = cap;
+          c.queueLatency = lat;
+          c.numProcessors = procs;
+          c.schedQuantum = quantum;
+          configs.push_back({"capacity " + std::to_string(cap) + " latency " +
+                                 std::to_string(lat) + " processors " + std::to_string(procs) +
+                                 " quantum " + std::to_string(quantum),
+                             c});
+        }
+  SimConfig shortWindow;
+  shortWindow.deadlockWindow = 1000;
+  configs.push_back({"deadlock window 1000", shortWindow});
+
+  for (const KernelInfo& k : chstoneKernels()) {
+    Module m;
+    DiagEngine diag;
+    ASSERT_TRUE(compileC(k.source, m, diag)) << k.name;
+    runDefaultPipeline(m, 100);
+    const ScheduleMap sched = scheduleModule(m);
+    const SimOutcome sw = simulatePureSW(m);
+    const SimOutcome hw = simulatePureHW(m, sched);
+    ASSERT_TRUE(sw.ok && hw.ok) << k.name << ": " << sw.message << hw.message;
+    for (const auto& [what, cfg] : configs) {
+      expectSameOutcome(simulatePureSW(m, cfg), sw, std::string(k.name) + " pure-SW, " + what);
+      expectSameOutcome(simulatePureHW(m, sched, cfg), hw, std::string(k.name) + " pure-HW, " + what);
+    }
+  }
+}
+
+// A non-terminating program stops at the simulator's wall budget on both
+// baselines, as a resource breach.
+TEST(SimBaselineTest, WallBudgetStopsANonTerminatingProgram) {
+  Module m;
+  DiagEngine diag;
+  ASSERT_TRUE(compileC("int g; int main(void) { while (1) { g = g + 1; } return g; }", m, diag))
+      << diag.str();
+  runDefaultPipeline(m);
+  const ScheduleMap sched = scheduleModule(m);
+  SimConfig cfg;
+  cfg.wallBudgetMs = 20;
+  auto expectBreach = [&](const char* flow, auto run) {
+    const auto start = std::chrono::steady_clock::now();
+    const SimOutcome o = run();
+    const double ms = std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
+                                                                start)
+                          .count();
+    EXPECT_FALSE(o.ok) << flow;
+    EXPECT_TRUE(o.resourceBreach) << flow << ": " << o.message;
+    EXPECT_NE(o.message.find("wall-clock budget exceeded"), std::string::npos) << flow;
+    EXPECT_LT(ms, 2000.0) << flow;
+  };
+  expectBreach("pure-SW", [&] { return simulatePureSW(m, cfg); });
+  expectBreach("pure-HW", [&] { return simulatePureHW(m, sched, cfg); });
+}
+
+// SimConfig::maxCycles is inclusive on every flow even when main finishes
+// on its first step, before any burst: the run ends on the cycle main's
+// last op issues, so the scheduler never advances past it into the limit.
+TEST(SimLimitTest, OneOpMainSucceedsExactlyAtTheLimit) {
+  Flow f = buildFlow("int main(void) { return 7; }");
+  auto expectLimit = [](const char* flow, auto run) {
+    const SimOutcome free = run(SimConfig{});
+    ASSERT_TRUE(free.ok) << flow << ": " << free.message;
+    SimConfig cfg;
+    cfg.maxCycles = free.cycles;
+    const SimOutcome at = run(cfg);
+    EXPECT_TRUE(at.ok) << flow << ": " << at.message;
+    EXPECT_EQ(at.cycles, free.cycles) << flow;
+    cfg.maxCycles = free.cycles - 1;
+    EXPECT_EQ(run(cfg).message, "cycle limit exceeded") << flow;
+  };
+  expectLimit("pure-SW", [&](const SimConfig& c) { return simulatePureSW(*f.base, c); });
+  expectLimit("pure-HW",
+              [&](const SimConfig& c) { return simulatePureHW(*f.base, f.baseSched, c); });
+  expectLimit("twill", [&](const SimConfig& c) {
+    return simulateTwill(*f.twillMod, f.dswp, c, f.twillSched);
+  });
 }
 
 }  // namespace
